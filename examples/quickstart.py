@@ -95,7 +95,8 @@ def main() -> None:
     #        api.characterize("spmv.csr")            # bottleneck class
     #        api.bench(smoke=True)                   # simulator perf
     #    Every verb takes the same perf knobs (never affect results):
-    #        profile="vectorized" | "optimized" | "reference"
+    #        profile="optimized" | "vectorized" (one fast engine, two
+    #                names) | "reference" (the oracle)
     #        backend="batch" | "per-unit"
     from repro import api
 

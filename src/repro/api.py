@@ -25,12 +25,17 @@ served out their window) — import from
 
 Every verb accepts the same runtime-control keywords: ``options`` (a
 :class:`~repro.runtime.RuntimeOptions`) for full control — jobs,
-cache, timeouts, engine profile, executor backend — with the per-call
-conveniences ``profile=`` (an engine profile: ``"optimized"``,
-``"reference"``, ``"vectorized"``), ``backend=`` (``"batch"`` or
-``"per-unit"`` simulation execution), and ``cache=`` layered on top.
-Profiles and backends are *performance knobs only*: results are pinned
-identical across all of them, and none ever forks the runtime's
+cache, timeouts, engine, executor backend — with the per-call
+conveniences ``profile=`` (an engine name), ``backend=`` (``"batch"``
+or ``"per-unit"`` simulation execution), and ``cache=`` layered on top.
+There are two engines: ``"reference"`` (the frozen oracle) and the
+fast engine, which answers to both ``"optimized"`` (the default) and
+``"vectorized"``.  Both fast names stay because stored identities
+spell them — the default campaign id and every default sweep
+``unit_id`` digest ``"optimized"``, and the repository benchmark
+passes ``"vectorized"``.  Engines and backends are *performance knobs
+only*: results are pinned identical across all of them, and none
+ever forks the runtime's
 :class:`~repro.runtime.keys.JobKey` cache keys — a result computed
 through the facade is a warm cache hit for the CLI, a campaign, or the
 tuner, and vice versa.
@@ -467,9 +472,9 @@ def bench(
 
     Runs the engine microbenchmark tiers (:mod:`repro.bench.\
     microbench`): engine-only timeline ops, a single simulation, and
-    the executor-path lineup — each measured under every engine
-    profile, so the report carries the ``reference``-relative speedup
-    ratios the CI gate tracks (``repro bench --perf/--smoke``).
+    the executor-path lineup — each measured on both engines, so the
+    report carries the reference ÷ fast speedup ratios the CI gate
+    tracks (``repro bench --perf/--smoke``).
 
     ``smoke`` shrinks everything to CI-gate size.  ``baseline`` (a
     report dict or a path to one, e.g. ``BENCH_engine.json``) adds a
@@ -479,9 +484,9 @@ def bench(
 
     ``profile``/``backend``/``options``/``cache`` are accepted for
     the facade's uniform-keyword contract and validated, but the
-    microbenchmarks deliberately measure **all** profiles and both
+    microbenchmarks deliberately measure both engines and both
     executor backends regardless: the report's value is exactly the
-    cross-profile comparison.
+    cross-engine comparison.
     """
     import json
 

@@ -10,7 +10,7 @@ timeline that answers two questions:
 * :meth:`ResourceTimeline.reserve` — *commit phase*: actually claim the
   earliest such slot and return its start cycle.
 
-The split retires the seed simulator's *commit-ahead* approximation.
+The split retired the seed simulator's *commit-ahead* approximation.
 There, each resource kept a single ``free_at`` clock, so a long op that
 committed its usage deep into the future (e.g. a parked offload plus
 its fallback fetches) forced every temporally-earlier op from other
@@ -18,36 +18,18 @@ cores to queue behind it — over-serializing exactly the bursts of
 concurrent offloads the paper's Fig. 4 waiting schemes stress.  A
 timeline instead keeps the *set of reserved intervals*: an op that
 needs the resource at an earlier cycle slides into the gap in front of
-a tentatively-held future slot instead of behind it.
-
-``mode="commit-ahead"`` restores the seed behaviour (append after the
-last reservation, gaps are never reused); the contention-regression
-tests pin that the reserve/commit mode strictly reduces the
-serialization the approximation used to add.
+a tentatively-held future slot instead of behind it.  Gap-filling is
+the only scheduling mode.
 
 :class:`CapacityTimeline` is the companion abstraction for *slotted*
 resources (NDC service and offload tables): reservations are intervals
 too, but the constraint is a maximum number of *concurrently live*
-intervals rather than mutual exclusion.
-
-Engine *profiles* (orthogonal to the scheduling mode) select between
-two implementations of the same semantics:
-
-* ``"optimized"`` (default) — sorted-ends occupancy tracking for
-  capacity timelines (``purge``/``latest_end``/``full`` stop rescanning
-  every live entry), memoized route/latency tables, and allocation-free
-  hot paths;
-* ``"reference"`` — the closed-form per-access computations the
-  optimized structures memoize.  Kept so the differential-equivalence
-  harness (``tests/test_differential.py``) can assert, cycle for cycle,
-  that no optimization ever changes a :class:`SimulationResult`;
-* ``"vectorized"`` — the optimized structures plus a numpy trace
-  pre-pass and fused hot paths (:mod:`repro.arch.vectorized`):
-  contention-free windows of the access stream are resolved in bulk,
-  and only contended ops drop into the event engine.
-
-Profiles are *performance knobs*: they must never fork experiment
-cache keys (pinned by a test in ``tests/test_differential.py``).
+intervals rather than mutual exclusion.  It comes in two
+implementations of the same semantics: :class:`ReferenceCapacityTimeline`
+(rescans every live entry; the reference engine's) and the heap-backed
+:class:`CapacityTimeline` (the fast engine's), held equal by hypothesis
+property tests.  Which engine uses which is a class attribute of its
+machine state, never a runtime branch.
 """
 
 from __future__ import annotations
@@ -55,17 +37,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from typing import Dict, List, Tuple
-
-#: Engine scheduling modes.
-RESERVE_COMMIT = "reserve-commit"
-COMMIT_AHEAD = "commit-ahead"
-ENGINE_MODES = (RESERVE_COMMIT, COMMIT_AHEAD)
-
-#: Engine implementation profiles (same semantics, different speed).
-OPTIMIZED = "optimized"
-REFERENCE = "reference"
-VECTORIZED = "vectorized"
-ENGINE_PROFILES = (OPTIMIZED, REFERENCE, VECTORIZED)
 
 
 class ResourceTimeline:
@@ -78,15 +49,12 @@ class ResourceTimeline:
     """
 
     __slots__ = (
-        "name", "gap_fill", "_starts", "_ends",
+        "name", "_starts", "_ends",
         "busy_cycles", "stall_cycles", "reservations",
     )
 
-    def __init__(self, name: str = "", mode: str = RESERVE_COMMIT):
-        if mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine mode {mode!r}")
+    def __init__(self, name: str = ""):
         self.name = name
-        self.gap_fill = mode == RESERVE_COMMIT
         self._starts: List[int] = []
         self._ends: List[int] = []
         #: accounting for the per-resource utilization summary
@@ -101,8 +69,6 @@ class ResourceTimeline:
             return now
         if not self._starts:
             return now
-        if not self.gap_fill:
-            return max(now, self._ends[-1])
         # Skip every interval that ends at or before `now`, then walk
         # the remaining gaps in order.
         i = bisect_right(self._ends, now)
@@ -138,18 +104,6 @@ class ResourceTimeline:
             starts.append(now)
             ends.append(now + span)
             return now
-        if not self.gap_fill:
-            start = ends[-1]
-            if start < now:
-                start = now
-            self.busy_cycles += span
-            self.stall_cycles += start - now
-            if ends[-1] == start:
-                ends[-1] = start + span
-            else:
-                starts.append(start)
-                ends.append(start + span)
-            return start
         # Walk the gaps exactly as earliest_free does, remembering the
         # index in front of which the claimed slot lands.
         i = bisect_right(ends, now)
@@ -180,25 +134,6 @@ class ResourceTimeline:
             starts.insert(i, start)
             ends.insert(i, end)
         return start
-
-    def _insert(self, start: int, end: int) -> None:
-        starts, ends = self._starts, self._ends
-        i = bisect_right(starts, start)
-        # Merge with the predecessor when touching (never overlapping:
-        # reserve() only ever places into genuinely free slots).
-        if i > 0 and ends[i - 1] == start:
-            if i < len(starts) and starts[i] == end:
-                # Bridges the gap exactly: predecessor + successor fuse.
-                ends[i - 1] = ends[i]
-                del starts[i]
-                del ends[i]
-            else:
-                ends[i - 1] = end
-        elif i < len(starts) and starts[i] == end:
-            starts[i] = start
-        else:
-            starts.insert(i, start)
-            ends.insert(i, end)
 
     # -- introspection -------------------------------------------------
     @property
@@ -233,10 +168,10 @@ class CapacityTimeline:
     tables, whose constraint is occupancy (how many packages hold a
     slot at once), not mutual exclusion.
 
-    This is the *optimized* implementation: a pair of lazily-invalidated
-    end heaps keeps ``purge`` amortized ``O(log n)`` per admitted entry
-    and ``latest_end`` ``O(log n)``, where the reference implementation
-    (:class:`ReferenceCapacityTimeline`, the pre-optimization semantics)
+    This is the fast engine's implementation: a pair of
+    lazily-invalidated end heaps keeps ``purge`` amortized ``O(log n)``
+    per admitted entry and ``latest_end`` ``O(log n)``, where the
+    reference implementation (:class:`ReferenceCapacityTimeline`)
     rescans every live entry on each call.  The two are held equivalent
     by hypothesis property tests with the reference as oracle.
     """
@@ -347,10 +282,10 @@ class ReferenceCapacityTimeline:
     """The pre-optimization :class:`CapacityTimeline` semantics.
 
     ``purge``/``latest_end`` rescan every live entry — exactly the code
-    the optimized sorted-ends structure replaced.  Kept as (a) the
-    oracle for the capacity property tests and (b) the capacity
-    implementation of the ``"reference"`` engine profile, so the
-    differential harness exercises genuinely independent code paths.
+    the heap-backed structure replaced.  Kept as (a) the oracle for the
+    capacity property tests and (b) the capacity implementation of the
+    reference engine, so the differential harness exercises genuinely
+    independent code paths.
     """
 
     __slots__ = (
@@ -415,13 +350,3 @@ class ReferenceCapacityTimeline:
         self.admissions = 0
         self.rejections = 0
 
-
-def capacity_timeline(capacity: int, name: str = "", profile: str = OPTIMIZED):
-    """Build the capacity-timeline implementation for an engine profile."""
-    if profile not in ENGINE_PROFILES:
-        raise ValueError(f"unknown engine profile {profile!r}")
-    cls = (
-        ReferenceCapacityTimeline if profile == REFERENCE
-        else CapacityTimeline
-    )
-    return cls(capacity, name)

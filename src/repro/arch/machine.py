@@ -16,18 +16,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.cache import SetAssociativeCache
-from repro.arch.engine import (
-    ENGINE_PROFILES,
-    OPTIMIZED,
-    REFERENCE,
-    RESERVE_COMMIT,
-    ResourceTimeline,
-)
+from repro.arch.engine import ReferenceCapacityTimeline, ResourceTimeline
 from repro.arch.events import EventBus, L2PortStall
 from repro.arch.memory import MemoryController
 from repro.arch.ndc_units import NdcUnit, OffloadTable
 from repro.arch.noc import Network
-from repro.arch.routing import RouteSignature, route_table_for, xy_route
+from repro.arch.routing import RouteSignature, xy_route
 from repro.arch.stats import SimStats
 from repro.arch.topology import Mesh, mesh_for
 from repro.config import ArchConfig, NdcLocation
@@ -50,39 +44,34 @@ class Journey:
 
 
 class MachineState:
-    """All modeled hardware plus cross-layer bookkeeping."""
+    """All modeled hardware plus cross-layer bookkeeping.
 
-    #: Network implementation; the vectorized profile's machine subclass
-    #: (:class:`repro.arch.vectorized.VectorizedMachineState`) swaps in
-    #: its fused-transit network here.
+    This is the reference engine's machine: every route is recomputed
+    closed-form and the NDC tables rescan their live entries.  The fast
+    engine's subclass (:class:`repro.arch.vectorized
+    .VectorizedMachineState`) swaps in its own implementations through
+    the class-attribute hooks below and its method overrides.
+    """
+
+    #: Network implementation (the fast engine swaps in fused transit).
     network_class = Network
+    #: Capacity-timeline implementation of the NDC service and offload
+    #: tables (the fast engine swaps in the heap-backed one).
+    capacity_class = ReferenceCapacityTimeline
 
     def __init__(
         self,
         cfg: ArchConfig,
-        mode: str = RESERVE_COMMIT,
         bus: Optional[EventBus] = None,
         collect_pc_stats: bool = False,
         collect_window_series: bool = False,
-        profile: str = OPTIMIZED,
     ):
-        if profile not in ENGINE_PROFILES:
-            raise ValueError(f"unknown engine profile {profile!r}")
         self.cfg = cfg
-        self.mode = mode
         self.bus = bus
-        self.profile = profile
         self.collect_pc_stats = collect_pc_stats
         self.collect_window_series = collect_window_series
         self.mesh: Mesh = mesh_for(cfg.noc.width, cfg.noc.height)
-        self.network = self.network_class(
-            self.mesh, cfg.noc, mode=mode, bus=bus, profile=profile
-        )
-        #: all-pairs memoized XY routes (optimized + vectorized; the
-        #: reference profile recomputes every route closed-form)
-        self._route_table = (
-            None if profile == REFERENCE else route_table_for(self.mesh)
-        )
+        self.network = self.network_class(self.mesh, cfg.noc, bus=bus)
         self.l1 = [
             SetAssociativeCache(cfg.l1, f"L1[{n}]")
             for n in range(self.mesh.num_nodes)
@@ -93,16 +82,16 @@ class MachineState:
         ]
         #: one lookup port per L2 bank: concurrent requests serialize
         self.l2_ports = [
-            ResourceTimeline(f"l2port:{n}", mode)
+            ResourceTimeline(f"l2port:{n}")
             for n in range(self.mesh.num_nodes)
         ]
         self.mcs = [
-            MemoryController(cfg, m, mode=mode, bus=bus)
+            MemoryController(cfg, m, bus=bus)
             for m in range(cfg.memory.num_controllers)
         ]
         self.ndc_units: Dict[tuple, NdcUnit] = {}
         self.offload_tables = [
-            OffloadTable(cfg.ndc.offload_table_entries, profile)
+            OffloadTable(cfg.ndc.offload_table_entries, self.capacity_class)
             for _ in range(self.mesh.num_nodes)
         ]
         self.journeys: Dict[int, Journey] = {}
@@ -119,18 +108,13 @@ class MachineState:
     # shared helpers
     # ------------------------------------------------------------------
     def route(self, src: int, dst: int) -> RouteSignature:
-        if self._route_table is not None:
-            return self._route_table.route(src, dst)
-        # Reference profile: the pre-optimization semantics — recompute
-        # the XY walk closed-form on every access (the differential
-        # harness pins both paths cycle-identical).
         return xy_route(self.mesh, src, dst)
 
     def unit(self, location: NdcLocation, key: tuple) -> NdcUnit:
         full_key = (location, key)
         u = self.ndc_units.get(full_key)
         if u is None:
-            u = NdcUnit(location, key, self.cfg.ndc, self.profile)
+            u = NdcUnit(location, key, self.cfg.ndc, self.capacity_class)
             self.ndc_units[full_key] = u
         return u
 
@@ -175,14 +159,6 @@ class MachineState:
             return start, ()
         # Estimates see current link occupancy too (commit=False runs
         # the reserve phase only), so scheme decisions price congestion.
-        table = self._route_table
-        if table is not None:
-            link_ids = table.link_ids(src, dst)
-            times = self.network.traverse(
-                table.route(src, dst), start, payload,
-                commit=commit, link_ids=link_ids,
-            ).node_times
-            return times[-1], tuple(zip(link_ids, times[1:]))
         route = xy_route(self.mesh, src, dst)
         times = self.network.traverse(
             route, start, payload, commit=commit
@@ -199,15 +175,10 @@ class MachineState:
         """Arrival-only :meth:`travel` for call sites that discard the
         link stamps (reserve-phase estimates, package flights, result
         returns).  Identical timing, contention, statistics, and event
-        emission — pinned by the differential harness — but the
-        optimized profile skips the Traversal/stamp allocations."""
+        emission to :meth:`travel` — the fast engine overrides it with
+        a fused, allocation-free walk the differential harness pins."""
         if src == dst:
             return start
-        table = self._route_table
-        if table is not None:
-            return self.network.transit(
-                table.link_ids(src, dst), start, payload, commit
-            )
         return self.network.traverse(
             xy_route(self.mesh, src, dst), start, payload, commit=commit
         ).completion

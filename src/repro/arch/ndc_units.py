@@ -16,14 +16,17 @@ Both tables are occupancy views over a
 :class:`~repro.arch.engine.CapacityTimeline`: each admitted package
 holds its slot from the first operand's arrival until it computes or
 times out; admission, capacity, and head-of-line clearance are all
-resolved against those reserved intervals.
+resolved against those reserved intervals.  The timeline class is a
+constructor argument: the reference engine keeps the default
+:class:`~repro.arch.engine.ReferenceCapacityTimeline`, the fast engine
+passes the heap-backed :class:`~repro.arch.engine.CapacityTimeline`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.arch.engine import OPTIMIZED, capacity_timeline
+from repro.arch.engine import ReferenceCapacityTimeline
 from repro.config import NdcConfig, NdcLocation, OpClass
 
 
@@ -46,11 +49,11 @@ class NdcUnitStats:
 class ServiceTable:
     """Bounded, in-order table of package occupancy intervals."""
 
-    def __init__(self, capacity: int, profile: str = OPTIMIZED):
+    def __init__(self, capacity: int, timeline=ReferenceCapacityTimeline):
         if capacity <= 0:
             raise ValueError("service table needs at least one entry")
         self.capacity = capacity
-        self._slots = capacity_timeline(capacity, "service", profile)
+        self._slots = timeline(capacity, "service")
 
     def purge(self, now: int) -> int:
         """Drop entries that have left the table by ``now``."""
@@ -92,11 +95,11 @@ class OffloadTable:
     or bounces.
     """
 
-    def __init__(self, capacity: int, profile: str = OPTIMIZED):
+    def __init__(self, capacity: int, timeline=ReferenceCapacityTimeline):
         if capacity <= 0:
             raise ValueError("offload table needs at least one entry")
         self.capacity = capacity
-        self._slots = capacity_timeline(capacity, "offload", profile)
+        self._slots = timeline(capacity, "offload")
 
     def purge(self, now: int) -> None:
         self._slots.purge(now)
@@ -123,12 +126,12 @@ class NdcUnit:
         location: NdcLocation,
         station_key: Tuple,
         cfg: NdcConfig,
-        profile: str = OPTIMIZED,
+        timeline=ReferenceCapacityTimeline,
     ):
         self.location = location
         self.station_key = station_key
         self.cfg = cfg
-        self.table = ServiceTable(cfg.service_table_entries, profile)
+        self.table = ServiceTable(cfg.service_table_entries, timeline)
         #: hardware time-out register (0 = disabled); per-package limits
         #: from the pre-compute instruction / scheme are applied on top.
         self.timeout = cfg.timeout_cycles

@@ -8,11 +8,9 @@ width.  Traversal returns the arrival time at *every* node along the
 route, because NDC-at-router needs to know when an operand is present
 in each intermediate link buffer.
 
-Under the default reserve/commit engine mode, a transfer claims the
-*earliest gap* that fits on each link — so traffic committed deep into
-the future by a long op no longer blocks temporally-earlier transfers
-(the seed's commit-ahead over-serialization).  ``mode="commit-ahead"``
-restores the old append-only behaviour for regression comparisons.
+A transfer claims the *earliest gap* that fits on each link — so
+traffic committed deep into the future by a long op does not block
+temporally-earlier transfers.
 
 This is a queueing approximation of a wormhole network: it models the
 first-order effects the paper's metrics depend on (hop latency, hot-link
@@ -24,15 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.arch.engine import (
-    ENGINE_PROFILES,
-    OPTIMIZED,
-    REFERENCE,
-    RESERVE_COMMIT,
-    ResourceTimeline,
-)
+from repro.arch.engine import ResourceTimeline
 from repro.arch.events import EventBus, LinkStall
-from repro.arch.routing import RouteSignature, serialization_table
+from repro.arch.routing import RouteSignature
 from repro.arch.topology import Mesh
 from repro.config import NocConfig
 
@@ -75,21 +67,15 @@ class Network:
         self,
         mesh: Mesh,
         cfg: NocConfig,
-        mode: str = RESERVE_COMMIT,
         bus: Optional[EventBus] = None,
-        profile: str = OPTIMIZED,
     ):
         if mesh.width != cfg.width or mesh.height != cfg.height:
             raise ValueError("mesh geometry disagrees with NocConfig")
-        if profile not in ENGINE_PROFILES:
-            raise ValueError(f"unknown engine profile {profile!r}")
         self.mesh = mesh
         self.cfg = cfg
-        self.mode = mode
-        self.profile = profile
         self.bus = bus
         self._links: List[ResourceTimeline] = [
-            ResourceTimeline(f"link:{i}", mode) for i in range(mesh.num_links)
+            ResourceTimeline(f"link:{i}") for i in range(mesh.num_links)
         ]
         #: per-hop pipeline constants, hoisted off the config dataclass
         #: for the per-flit-group inner loop
@@ -100,10 +86,7 @@ class Network:
     # ------------------------------------------------------------------
     def serialization_cycles(self, payload_bytes: int) -> int:
         """Cycles to push ``payload_bytes`` through one link."""
-        if self.profile != REFERENCE:
-            return serialization_table(payload_bytes, self.cfg.link_bytes)
-        flits = max(1, -(-payload_bytes // self.cfg.link_bytes))
-        return flits
+        return max(1, -(-payload_bytes // self.cfg.link_bytes))
 
     def traverse(
         self,
@@ -121,7 +104,7 @@ class Network:
         ``commit=False`` the same contention-aware timing is computed
         through the reserve phase only (a what-if estimate — no link is
         actually claimed).  ``link_ids`` optionally supplies the route's
-        memoized link ids (the optimized profile's
+        memoized link ids (the fast engine's
         :class:`~repro.arch.routing.RouteTable`), skipping the per-hop
         adjacency lookups.
         """
@@ -157,46 +140,6 @@ class Network:
         if commit:
             stats.transfers += 1
         return Traversal(route, tuple(times))
-
-    def transit(
-        self,
-        link_ids: Tuple[int, ...],
-        start: int,
-        payload_bytes: int,
-        commit: bool = True,
-    ) -> int:
-        """Arrival-only flavour of :meth:`traverse`.
-
-        Identical timing, contention, statistics, and event emission —
-        but no :class:`Traversal`/per-node-times allocation.  The hot
-        path uses it wherever the caller discards the link stamps
-        (every reserve-phase estimate, package flights, result
-        returns); the differential harness pins the equivalence.
-        """
-        ser = self.serialization_cycles(payload_bytes)
-        bus = self.bus
-        links = self._links
-        stats = self.stats
-        router_latency = self._router_latency
-        tail = self._hop_tail + ser
-        t = start
-        if commit:
-            for link_id in link_ids:
-                want = t + router_latency
-                depart = links[link_id].reserve(want, ser)
-                queue = depart - want
-                stats.total_queue_cycles += queue
-                stats.flit_hops += ser
-                if queue > 0 and bus is not None:
-                    bus.emit(LinkStall(cycle=want, link=link_id,
-                                       stall=queue))
-                t = depart + tail
-            stats.transfers += 1
-        else:
-            for link_id in link_ids:
-                want = t + router_latency
-                t = links[link_id].earliest_free(want, ser) + tail
-        return t
 
     def zero_load_latency(self, hops: int, payload_bytes: int) -> int:
         """Latency of an uncontended ``hops``-hop transfer."""

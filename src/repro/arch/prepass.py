@@ -1,4 +1,4 @@
-"""Numpy trace pre-pass for the ``vectorized`` engine profile.
+"""Numpy trace pre-pass for the fast engine.
 
 Before replay, the pre-pass makes two bulk sweeps over a benchmark's
 access stream:
@@ -23,22 +23,14 @@ no shared state, so executing the window in one step at its start time
 is observationally identical to interleaving it op-by-op with other
 cores through the replay heap — per-core clocks, statistics, and every
 shared timeline are bit-identical.  The differential harness pins this
-cycle-for-cycle against the reference profile.
-
-numpy is optional at runtime: when it is absent the same maps are
-built by a pure-Python sweep (slower, identical values).
+cycle-for-cycle against the reference engine.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-try:  # pragma: no cover - exercised implicitly by either branch
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dep in CI
-    _np = None
-
-HAVE_NUMPY = _np is not None
+import numpy as np
 
 from repro.arch.topology import Mesh
 from repro.config import ArchConfig
@@ -78,19 +70,7 @@ def address_map(trace: Trace, cfg: ArchConfig, mesh: Mesh) -> AddrMap:
         return {}
     mem = cfg.memory
     mc_nodes = [mesh.mc_node(m) for m in range(mem.num_controllers)]
-    if _np is None:
-        return {
-            a: (
-                cfg.l2_home_node(a),
-                a // cfg.l2.line_bytes,
-                cfg.memory_controller(a),
-                mc_nodes[cfg.memory_controller(a)],
-                cfg.dram_bank(a),
-                cfg.dram_row(a),
-            )
-            for a in addrs
-        }
-    arr = _np.asarray(addrs, dtype=_np.int64)
+    arr = np.asarray(addrs, dtype=np.int64)
     l2_line = arr // cfg.l2.line_bytes
     home = l2_line % cfg.noc.num_nodes
     page = arr // mem.interleave_bytes
@@ -98,7 +78,7 @@ def address_map(trace: Trace, cfg: ArchConfig, mesh: Mesh) -> AddrMap:
     per_mc = page // mem.num_controllers
     bank = per_mc % mem.dram.banks_per_controller
     row = (per_mc // mem.dram.banks_per_controller) % mem.dram.rows_per_bank
-    node = _np.asarray(mc_nodes, dtype=_np.int64)[mc_id]
+    node = np.asarray(mc_nodes, dtype=np.int64)[mc_id]
     return dict(
         zip(
             addrs,
@@ -122,40 +102,27 @@ def work_windows(trace: Trace) -> WorkWindows:
     for stream in trace:
         runs: Dict[int, Tuple[int, int]] = {}
         n = len(stream)
-        if _np is not None and n:
-            kinds = _np.fromiter(
-                (op.kind for op in stream), dtype=_np.int64, count=n
+        if n:
+            kinds = np.fromiter(
+                (op.kind for op in stream), dtype=np.int64, count=n
             )
-            costs = _np.fromiter(
-                (op.cost for op in stream), dtype=_np.int64, count=n
+            costs = np.fromiter(
+                (op.cost for op in stream), dtype=np.int64, count=n
             )
             is_work = kinds == int(_WORK)
             if is_work.any():
                 # Run boundaries via the standard diff-of-mask trick;
                 # run costs via one cumulative sum over the stream.
-                padded = _np.concatenate(([False], is_work, [False]))
-                edges = _np.diff(padded.astype(_np.int8))
-                starts = _np.flatnonzero(edges == 1)
-                ends = _np.flatnonzero(edges == -1)
-                csum = _np.concatenate(([0], _np.cumsum(costs)))
+                padded = np.concatenate(([False], is_work, [False]))
+                edges = np.diff(padded.astype(np.int8))
+                starts = np.flatnonzero(edges == 1)
+                ends = np.flatnonzero(edges == -1)
+                csum = np.concatenate(([0], np.cumsum(costs)))
                 totals = csum[ends] - csum[starts]
                 runs = {
                     int(s): (int(e), int(t))
                     for s, e, t in zip(starts, ends, totals)
                 }
-        else:
-            i = 0
-            while i < n:
-                if stream[i].kind != _WORK:
-                    i += 1
-                    continue
-                j = i
-                total = 0
-                while j < n and stream[j].kind == _WORK:
-                    total += stream[j].cost
-                    j += 1
-                runs[i] = (j, total)
-                i = j
         out.append(runs)
     return tuple(out)
 

@@ -91,8 +91,8 @@ def yx_route(mesh: Mesh, src: int, dst: int) -> RouteSignature:
 class RouteTable:
     """Memoized all-pairs XY routes, link ids, and hop counts for a mesh.
 
-    Built once per topology (at machine construction under the
-    ``"optimized"`` engine profile) so the per-access hot path replaces
+    Built once per topology (at fast-engine machine construction) so
+    the per-access hot path replaces
     coordinate walks and per-hop ``mesh.link`` dictionary lookups with
     two tuple indexings.  The tables are *pure memoization* of
     :func:`xy_route`: a hypothesis property in

@@ -16,11 +16,18 @@ NDC service tables — is resolved in approximately the right order.
 Shared resources are modeled as reserve/commit interval timelines
 (:mod:`repro.arch.engine`): a committed op claims the earliest *gap*
 that fits on each resource, so a long op that commits usage deep into
-the future no longer blocks other cores' temporally-earlier ops.  This
-retires the seed's commit-ahead approximation, which over-serialized
-bursts of concurrent long offloads behind scalar busy-until clocks.
-``engine_mode="commit-ahead"`` restores the old append-only behaviour
-for regression comparisons.
+the future does not block other cores' temporally-earlier ops.
+
+Two engines
+-----------
+:class:`SystemSimulator` over the base layers below is the *reference
+engine*: the closed-form, per-access implementation of the timing
+model, kept frozen as the oracle.  The *fast engine*
+(:class:`repro.arch.vectorized.VectorizedSimulator`) subclasses it and
+every layer, swapping in memoized tables, fused hot paths and a numpy
+trace pre-pass through the ``*_class`` hooks.  The differential harness
+(``tests/test_differential.py``) pins the two cycle-exact; engines are
+chosen by name only through :func:`repro.arch.engine_class`.
 
 Layering
 --------
@@ -58,7 +65,6 @@ from typing import Dict, List, Optional
 
 from repro.arch.access import AccessPath
 from repro.arch.candidates import CandidateBuilder
-from repro.arch.engine import OPTIMIZED, RESERVE_COMMIT, VECTORIZED
 from repro.arch.events import EventBus
 from repro.arch.machine import MachineState
 from repro.arch.ndc_exec import NdcExecutor
@@ -107,45 +113,20 @@ class SystemSimulator:
         every (compute, location) pair — the Section 4 quantification.
     collect_window_series:
         When True, keep the per-PC sequence of observed windows (Fig. 5).
-    engine_mode:
-        ``"reserve-commit"`` (default) resolves resource contention by
-        gap-filling interval timelines; ``"commit-ahead"`` reproduces
-        the seed's append-only over-serialization for comparisons.
-    engine_profile:
-        ``"optimized"`` (default) uses the memoized route tables, the
-        heap-backed capacity timelines, and the stamp-free NoC transit
-        path; ``"reference"`` keeps the pre-optimization per-access
-        implementations.  Profiles are *performance knobs only*: the
-        differential harness (``tests/test_differential.py``) pins both
-        to cycle-exact identical :class:`SimulationResult`s, and they
-        never enter the runtime's cache keys.
+    collect_pc_stats:
+        When True, record per-PC L1/L2 hit-miss counts (Table 2).
     event_bus:
         Optional instrumentation bus; offload/stall events are
         published onto it as they happen.
     """
 
-    #: component hooks: the ``vectorized`` profile's simulator subclass
+    #: component hooks: the fast engine's simulator subclass
     #: (:mod:`repro.arch.vectorized`) swaps in its fused implementations
     #: here; everything else composes against these names.
     machine_class = MachineState
     access_class = AccessPath
     candidates_class = CandidateBuilder
     executor_class = NdcExecutor
-
-    def __new__(cls, *args, **kwargs):
-        # The profile seam: ``SystemSimulator(cfg, ...,
-        # engine_profile="vectorized")`` transparently constructs the
-        # vectorized subclass, so every caller behind the seam (pool
-        # workers, the batch executor, tests) picks it up unchanged.
-        if cls is SystemSimulator:
-            profile = kwargs.get("engine_profile")
-            if profile is None and len(args) > 6:
-                profile = args[6]
-            if profile == VECTORIZED:
-                from repro.arch.vectorized import VectorizedSimulator
-
-                return object.__new__(VectorizedSimulator)
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -154,8 +135,6 @@ class SystemSimulator:
         profile_windows: bool = False,
         collect_window_series: bool = False,
         collect_pc_stats: bool = False,
-        engine_mode: str = RESERVE_COMMIT,
-        engine_profile: str = OPTIMIZED,
         event_bus: Optional[EventBus] = None,
     ):
         self.cfg = cfg
@@ -165,11 +144,9 @@ class SystemSimulator:
         self.collect_pc_stats = collect_pc_stats
         self.machine = self.machine_class(
             cfg,
-            mode=engine_mode,
             bus=event_bus,
             collect_pc_stats=collect_pc_stats,
             collect_window_series=collect_window_series,
-            profile=engine_profile,
         )
         self.access_path = self.access_class(self.machine)
         self.candidate_builder = self.candidates_class(self.machine)
@@ -359,5 +336,8 @@ def simulate(
     scheme: Optional[NdcScheme] = None,
     **kwargs,
 ) -> SimulationResult:
-    """One-shot convenience wrapper: build a simulator and run the trace."""
-    return SystemSimulator(cfg, scheme, **kwargs).run(trace)
+    """One-shot convenience wrapper: build the default (fast) engine and
+    run the trace.  ``kwargs`` are :class:`SystemSimulator`'s."""
+    from repro.arch import engine_class
+
+    return engine_class()(cfg, scheme, **kwargs).run(trace)

@@ -1,9 +1,16 @@
-"""The ``vectorized`` engine profile: pre-passed, fused hot paths.
+"""The fast engine: memoized tables, pre-passed and fused hot paths.
 
-This module is the third engine profile behind the profile seam
-(:data:`repro.arch.engine.ENGINE_PROFILES`).  It layers three exact
-accelerations over the optimized engine:
+This module is the second of the two engines (the first is the
+reference engine, :class:`~repro.arch.simulator.SystemSimulator` over
+the base layers).  Each class here subclasses one reference layer and
+owns its speed-ups outright — the base classes carry no fast-path
+branches.  Over the reference semantics it layers:
 
+* **memoized tables**: all-pairs XY routes and link ids
+  (:func:`~repro.arch.routing.route_table_for`), link serialization
+  cycles (:func:`~repro.arch.routing.serialization_table`), and the
+  heap-backed :class:`~repro.arch.engine.CapacityTimeline` for the NDC
+  service and offload tables;
 * the numpy **trace pre-pass** (:mod:`repro.arch.prepass`): derived-
   address maps computed in bulk, and contention-free windows of the
   access stream (maximal ``WORK`` runs) resolved in one vectorized
@@ -19,10 +26,10 @@ accelerations over the optimized engine:
   reserve-phase ``travel_time`` queries with identical arguments
   within one compute are answered once.
 
-Everything here must be *invisible* in results: the vectorized profile
-is pinned cycle-exact-identical to the reference profile on the full
-Fig. 4 lineup and the sparse/mixed families, and it never enters
-:class:`~repro.runtime.keys.JobKey` cache keys.
+Everything here must be *invisible* in results: the fast engine is
+pinned cycle-exact-identical to the reference engine on the full
+Fig. 4 lineup and the sparse/mixed families, and the engine choice
+never enters :class:`~repro.runtime.keys.JobKey` cache keys.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import List, Optional, Tuple
 
 from repro.arch.access import AccessPath, AccessPlan
 from repro.arch.candidates import CandidateBuilder
-from repro.arch.engine import RESERVE_COMMIT, VECTORIZED
+from repro.arch.engine import CapacityTimeline
 from repro.arch.events import (
     L2PortStall,
     LinkStall,
@@ -52,6 +59,11 @@ from repro.arch.machine import (
 from repro.arch.ndc_exec import NdcExecutor
 from repro.arch.noc import Network
 from repro.arch.prepass import prepass_for
+from repro.arch.routing import (
+    RouteSignature,
+    route_table_for,
+    serialization_table,
+)
 from repro.arch.simulator import SimulationResult, SystemSimulator
 from repro.arch.stats import NEVER
 from repro.config import NdcComponentMask, NdcLocation
@@ -73,15 +85,15 @@ class VectorizedNetwork(Network):
         super().__init__(*args, **kwargs)
         #: payload bytes -> (serialization cycles, per-hop tail)
         self._ser_tail = {}
-        #: the inlined loops below replicate the gap-fill reserve/commit
-        #: semantics only; commit-ahead mode falls back to the base loop
-        self._gap_fill = self.mode == RESERVE_COMMIT
         #: flat per-link interval lists, aliasing each timeline's own
         #: storage (ResourceTimeline mutates the lists in place, never
         #: rebinds them) — one index instead of index + attribute load
         #: on every hop of every transit
         self._lstarts = [tl._starts for tl in self._links]
         self._lends = [tl._ends for tl in self._links]
+
+    def serialization_cycles(self, payload_bytes: int) -> int:
+        return serialization_table(payload_bytes, self.cfg.link_bytes)
 
     def transit(
         self,
@@ -90,9 +102,12 @@ class VectorizedNetwork(Network):
         payload_bytes: int,
         commit: bool = True,
     ) -> int:
-        if not self._gap_fill:
-            return Network.transit(self, link_ids, start, payload_bytes,
-                                   commit)
+        """Arrival-only flavour of :meth:`traverse` over memoized link ids.
+
+        Identical timing, contention, statistics, and event emission —
+        but no :class:`~repro.arch.noc.Traversal` allocation (pinned
+        against ``traverse`` by a hypothesis property).
+        """
         st = self._ser_tail.get(payload_bytes)
         if st is None:
             ser = self.serialization_cycles(payload_bytes)
@@ -201,19 +216,19 @@ class VectorizedNetwork(Network):
 
 
 class VectorizedMachineState(MachineState):
-    """Machine state with the pre-pass maps and fused travel paths."""
+    """Machine state with memoized routes, the pre-pass maps and fused
+    travel paths."""
 
     network_class = VectorizedNetwork
+    capacity_class = CapacityTimeline
 
     def __init__(self, *args, **kwargs):
-        kwargs.setdefault("profile", VECTORIZED)
         super().__init__(*args, **kwargs)
-        table = self._route_table
+        #: all-pairs memoized XY routes (shared per mesh geometry)
+        self._route_table = table = route_table_for(self.mesh)
         #: flat all-pairs link-id rows (src * num_nodes + dst)
         self._lids = table._link_ids
         self._nn = table.mesh.num_nodes
-        #: bound method, hoisted off the attribute chain for travel_time
-        self._transit = self.network.transit
         #: addr -> (home, l2 line, mc id, mc node, bank, row); replaced
         #: wholesale by :meth:`attach_prepass` before a replay
         self.addr_info = {}
@@ -244,6 +259,30 @@ class VectorizedMachineState(MachineState):
         return info
 
     # ------------------------------------------------------------------
+    def route(self, src: int, dst: int) -> RouteSignature:
+        return self._route_table.route(src, dst)
+
+    def travel(
+        self,
+        src: int,
+        dst: int,
+        start: int,
+        payload: int,
+        commit: bool,
+        stamps: bool = True,
+    ) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        if not stamps:
+            return self.travel_time(src, dst, start, payload, commit), ()
+        if src == dst:
+            return start, ()
+        table = self._route_table
+        link_ids = table.link_ids(src, dst)
+        times = self.network.traverse(
+            table.route(src, dst), start, payload,
+            commit=commit, link_ids=link_ids,
+        ).node_times
+        return times[-1], tuple(zip(link_ids, times[1:]))
+
     def travel_time(
         self, src: int, dst: int, start: int, payload: int, commit: bool
     ) -> int:
@@ -255,8 +294,6 @@ class VectorizedMachineState(MachineState):
             return start
         link_ids = self._lids[src * self._nn + dst]
         net = self.network
-        if not net._gap_fill:
-            return net.transit(link_ids, start, payload, commit)
         st = net._ser_tail.get(payload)
         if st is None:
             ser = net.serialization_cycles(payload)
@@ -367,8 +404,6 @@ class VectorizedMachineState(MachineState):
         if not commit:
             if not ends or ends[-1] <= t:
                 return t
-            if not port.gap_fill:
-                return port.earliest_free(t, 1)
             # Inlined ResourceTimeline.earliest_free (gap-fill, span 1,
             # non-empty): a 1-cycle slot fits in any gap, so the walk
             # stops at the first interval that starts past the pointer.
@@ -398,12 +433,6 @@ class VectorizedMachineState(MachineState):
                 port._starts.append(t)
                 ends.append(t + 1)
             return t
-        if not port.gap_fill:
-            start = port.reserve(t, 1)
-            if start > t and self.bus is not None:
-                self.bus.emit(L2PortStall(cycle=t, node=node,
-                                          stall=start - t))
-            return start
         # Inlined ResourceTimeline.reserve (gap-fill, span 1, non-empty):
         # same walk, then the same predecessor/successor merge.
         port.reservations += 1
@@ -1279,12 +1308,10 @@ class VectorizedNdcExecutor(NdcExecutor):
 
 
 class VectorizedSimulator(SystemSimulator):
-    """:class:`SystemSimulator` under the ``vectorized`` profile.
+    """The fast engine: :class:`SystemSimulator` over the fused layers.
 
-    Constructed transparently: ``SystemSimulator(cfg,
-    engine_profile="vectorized")`` dispatches here, so every caller
-    behind the profile seam (pool workers, the batch executor, tests)
-    picks the fused implementation up without code changes.
+    Same constructor and results as the reference engine; callers pick
+    it by name through :func:`repro.arch.engine_class`.
     """
 
     machine_class = VectorizedMachineState
@@ -1293,10 +1320,6 @@ class VectorizedSimulator(SystemSimulator):
     executor_class = VectorizedNdcExecutor
 
     def __init__(self, *args, **kwargs):
-        # engine_profile is positional index 6 of SystemSimulator.__init__
-        # (after self); default it so direct construction works too.
-        if len(args) <= 6 and "engine_profile" not in kwargs:
-            kwargs["engine_profile"] = VECTORIZED
         super().__init__(*args, **kwargs)
         self.machine.keep_journeys = self.profile_windows
         self._scheme_is_nondc = isinstance(self.scheme, NoNdc)
@@ -1400,11 +1423,7 @@ class VectorizedSimulator(SystemSimulator):
         # stall/busy counters, and the tail (`free_at`) are untouched —
         # while keeping the per-query walks short on long replays.
         net = m.network
-        trim_lists = (
-            list(zip(net._lstarts, net._lends))
-            if isinstance(net, VectorizedNetwork) and net._gap_fill
-            else []
-        )
+        trim_lists = list(zip(net._lstarts, net._lends))
         trim_bisect = bisect_right
         pops = 0
 

@@ -4,17 +4,20 @@ Three tiers, cheapest first:
 
 * **engine-only** — synthetic op streams against the raw timeline
   structures (:class:`~repro.arch.engine.ResourceTimeline`, the
-  optimized vs reference :class:`~repro.arch.engine.CapacityTimeline`),
-  isolating the data-structure work from the simulator around it;
+  heap-backed :class:`~repro.arch.engine.CapacityTimeline` vs
+  :class:`~repro.arch.engine.ReferenceCapacityTimeline`), isolating
+  the data-structure work from the simulator around it;
 * **single-sim** — one full simulation (``fft`` under the paper's
-  Algorithm 2 at scale 0.1) per engine profile; the ``speedup`` ratio
-  on this tier is a regression-gate metric;
+  Algorithm 2 at scale 0.1) on each of the two engines; the
+  ``speedup`` ratio (reference ÷ fast) on this tier is a
+  regression-gate metric;
 * **lineup** — the whole Fig. 4 scheme lineup on one benchmark through
   the *executor path* (what a sweep iteration actually costs): per-unit
   :func:`~repro.runtime.parallel.execute_job` — trace generation
-  included — for the reference and optimized profiles, and the batch
-  executor (:mod:`repro.runtime.batch`) for the vectorized profile.
-  The ``vectorized_speedup`` ratio here is the second gate metric.
+  included — on the reference engine, and the batch executor
+  (:mod:`repro.runtime.batch`) on the fast engine.  The
+  ``vectorized_speedup`` ratio (reference ÷ fast) here is the second
+  gate metric.
 
 All measurements are best-of-``repeats`` wall-clock
 (``time.perf_counter``) with the cycle collector parked outside the
@@ -39,15 +42,13 @@ BASELINE_FILENAME = "BENCH_engine.json"
 #: v2: the lineup tier measures the executor path (per-unit vs batch)
 #: instead of bare pre-built-trace simulation loops, and both whole-sim
 #: tiers grew ``vectorized_*`` columns; schema-1 baselines gate only on
-#: the metrics they carry.
+#: the metrics they carry.  The ``optimized_*`` columns left with the
+#: third engine; the gated keys kept their names and now read
+#: reference ÷ fast.
 SCHEMA = 2
 
 #: the regression-gate metrics inside the report (section, metric);
-#: metrics absent from a (older-schema) baseline are skipped.  The
-#: vectorized profile gates on the *lineup* tier only: a single
-#: smoke-sized simulation cannot amortize the trace pre-pass, so its
-#: single-sim ratio varies with scale rather than with regressions
-#: (it stays in the report as an informational column).
+#: metrics absent from a (older-schema) baseline are skipped.
 GATE_METRICS = (
     ("single_sim", "speedup"),
     ("lineup", "vectorized_speedup"),
@@ -128,9 +129,7 @@ def _resource_timeline_ops(ops: int) -> Callable[[], None]:
     return run
 
 
-def _capacity_timeline_ops(ops: int, profile: str) -> Callable[[], None]:
-    from repro.arch.engine import capacity_timeline
-
+def _capacity_timeline_ops(ops: int, timeline: type) -> Callable[[], None]:
     rng = random.Random(99)
     stream: List[Tuple[int, int, int]] = []
     now = 0
@@ -139,7 +138,7 @@ def _capacity_timeline_ops(ops: int, profile: str) -> Callable[[], None]:
         stream.append((i, now, now + rng.randrange(1, 200)))
 
     def run() -> None:
-        tl = capacity_timeline(16, "bench", profile)
+        tl = timeline(16, "bench")
         for key, arrive, leave in stream:
             tl.purge(arrive)
             tl.latest_end(arrive)
@@ -150,11 +149,13 @@ def _capacity_timeline_ops(ops: int, profile: str) -> Callable[[], None]:
 
 
 def _engine_tier(ops: int, repeats: int) -> Dict[str, float]:
-    from repro.arch.engine import OPTIMIZED, REFERENCE
+    from repro.arch.engine import CapacityTimeline, ReferenceCapacityTimeline
 
     res = _best_of(_resource_timeline_ops(ops), repeats)
-    cap_opt = _best_of(_capacity_timeline_ops(ops, OPTIMIZED), repeats)
-    cap_ref = _best_of(_capacity_timeline_ops(ops, REFERENCE), repeats)
+    cap_opt = _best_of(_capacity_timeline_ops(ops, CapacityTimeline), repeats)
+    cap_ref = _best_of(
+        _capacity_timeline_ops(ops, ReferenceCapacityTimeline), repeats
+    )
     return {
         "ops": ops,
         "resource_timeline_s": round(res, 6),
@@ -169,16 +170,16 @@ def _engine_tier(ops: int, repeats: int) -> Dict[str, float]:
 # tiers 2+3: whole simulations
 # ----------------------------------------------------------------------
 def _sim_once(trace, cfg, factory, profile: str) -> None:
-    from repro.arch.simulator import SystemSimulator
+    from repro.arch import engine_class
 
-    SystemSimulator(cfg, factory(), engine_profile=profile).run(trace)
+    engine_class(profile)(cfg, factory()).run(trace)
 
 
 def _single_sim_tier(
     benchmark: str, scale: float, repeats: int
 ) -> Dict[str, object]:
     from repro import schemes as S
-    from repro.arch.engine import OPTIMIZED, REFERENCE, VECTORIZED
+    from repro.arch import REFERENCE, VECTORIZED
     from repro.config import DEFAULT_CONFIG
     from repro.workloads import benchmark_trace
 
@@ -188,36 +189,32 @@ def _single_sim_tier(
     def run(profile: str) -> Callable[[], None]:
         return lambda: _sim_once(trace, cfg, S.CompilerDirected, profile)
 
-    opt, ref, vec = _interleaved_best(
-        [run(OPTIMIZED), run(REFERENCE), run(VECTORIZED)], repeats
-    )
+    ref, vec = _interleaved_best([run(REFERENCE), run(VECTORIZED)], repeats)
     return {
         "benchmark": benchmark,
         "scheme": "algorithm-2",
         "scale": scale,
-        "optimized_s": round(opt, 6),
         "reference_s": round(ref, 6),
         "vectorized_s": round(vec, 6),
-        "speedup": round(ref / opt, 4) if opt > 0 else 0.0,
-        "vectorized_speedup": round(ref / vec, 4) if vec > 0 else 0.0,
+        "speedup": round(ref / vec, 4) if vec > 0 else 0.0,
     }
 
 
 def _lineup_tier(
     benchmark: str, scale: float, repeats: int
 ) -> Dict[str, object]:
-    """Executor-path lineup throughput per profile.
+    """Executor-path lineup throughput, reference vs fast.
 
-    Reference and optimized run the per-unit execution core (one
+    The reference engine runs the per-unit execution core (one
     ``execute_job`` per scheme, trace generation included per job —
     exactly what a cold per-unit sweep scattered over pool workers
-    pays); the vectorized profile runs the batch executor over the
-    same keys with a cold trace LRU per repeat, amortizing generation
-    across the chunk.  All three produce pinned-identical results; the
-    ratios measure the full executor paths against each other.
+    pays); the fast engine runs the batch executor over the same keys
+    with a cold trace LRU per repeat, amortizing generation across the
+    chunk.  Both produce pinned-identical results; the ratio measures
+    the full executor paths against each other.
     """
     from repro import schemes as S
-    from repro.arch.engine import OPTIMIZED, REFERENCE, VECTORIZED
+    from repro.arch import REFERENCE, VECTORIZED
     from repro.config import DEFAULT_CONFIG
     from repro.runtime import batch as batch_mod
     from repro.runtime.keys import JobKey, config_digest
@@ -234,19 +231,16 @@ def _lineup_tier(
             label=scheme.name, scale=scale, config_digest=digest,
         ))
 
-    def per_unit(profile: str) -> Callable[[], None]:
-        def go() -> None:
-            # Cold executor path: every job regenerates its trace, as
-            # a per-unit sweep scattered across fresh pool workers
-            # pays it — each job lands on a worker whose trace LRU has
-            # not seen this variant.  (Amortizing exactly this
-            # duplication is the batch executor's reason to exist, so
-            # the per-unit side must not ride a warm LRU here.)
-            for key in keys:
-                tracegen.clear_cache()
-                execute_job(cfg, key, engine_profile=profile)
-
-        return go
+    def per_unit() -> None:
+        # Cold executor path: every job regenerates its trace, as a
+        # per-unit sweep scattered across fresh pool workers pays it —
+        # each job lands on a worker whose trace LRU has not seen this
+        # variant.  (Amortizing exactly this duplication is the batch
+        # executor's reason to exist, so the per-unit side must not
+        # ride a warm LRU here.)
+        for key in keys:
+            tracegen.clear_cache()
+            execute_job(cfg, key, engine_profile=REFERENCE)
 
     def batched() -> None:
         tracegen.clear_cache()
@@ -256,17 +250,13 @@ def _lineup_tier(
         ):
             pass
 
-    opt, ref, vec = _interleaved_best(
-        [per_unit(OPTIMIZED), per_unit(REFERENCE), batched], repeats
-    )
+    ref, vec = _interleaved_best([per_unit, batched], repeats)
     return {
         "benchmark": benchmark,
         "scale": scale,
         "schemes": len(keys),
-        "optimized_s": round(opt, 6),
         "reference_s": round(ref, 6),
         "vectorized_s": round(vec, 6),
-        "speedup": round(ref / opt, 4) if opt > 0 else 0.0,
         "vectorized_speedup": round(ref / vec, 4) if vec > 0 else 0.0,
     }
 
@@ -323,22 +313,18 @@ def render_report(report: Dict[str, object]) -> str:
         + (" (smoke)" if report.get("smoke") else "") + ":",
         f"  engine-only ({eng['ops']} ops): resource "
         f"{eng['resource_timeline_s']:.4f}s, capacity "
-        f"{eng['capacity_timeline_optimized_s']:.4f}s opt / "
+        f"{eng['capacity_timeline_optimized_s']:.4f}s fast / "
         f"{eng['capacity_timeline_reference_s']:.4f}s ref "
         f"({eng['capacity_timeline_speedup']:.2f}x)",
         f"  single-sim  ({single['benchmark']} {single['scheme']} @ "
-        f"{single['scale']}): {single['optimized_s']:.3f}s opt / "
-        f"{single['reference_s']:.3f}s ref / "
-        f"{single['vectorized_s']:.3f}s vec "
-        f"-> {single['speedup']:.2f}x opt, "
-        f"{single['vectorized_speedup']:.2f}x vec",
+        f"{single['scale']}): {single['reference_s']:.3f}s ref / "
+        f"{single['vectorized_s']:.3f}s fast "
+        f"-> {single['speedup']:.2f}x",
         f"  lineup      ({lineup['benchmark']} x{lineup['schemes']} "
         f"schemes @ {lineup['scale']}, executor path): "
-        f"{lineup['optimized_s']:.3f}s opt / "
         f"{lineup['reference_s']:.3f}s ref / "
-        f"{lineup['vectorized_s']:.3f}s vec batch "
-        f"-> {lineup['speedup']:.2f}x opt, "
-        f"{lineup['vectorized_speedup']:.2f}x vec",
+        f"{lineup['vectorized_s']:.3f}s fast batch "
+        f"-> {lineup['vectorized_speedup']:.2f}x",
     ]
     return "\n".join(lines)
 
@@ -351,14 +337,14 @@ def compare_to_baseline(
     """Gate ``current`` against the committed ``baseline``.
 
     Compares *speedup ratios* — wall-clock seconds do not transfer
-    between machines, but a profile-vs-reference ratio (measured
+    between machines, but a fast-vs-reference ratio (measured
     back-to-back on the same host) does.  Each :data:`GATE_METRICS`
     entry fails when the current ratio has lost more than
     ``max_slowdown_pct`` percent of the baseline ratio's
     advantage-over-1x; CI passes a generous threshold to absorb noisy
     shared runners.  Metrics the baseline does not carry (older schema)
     are skipped, so a schema-1 baseline still gates the single-sim
-    optimized speedup.
+    speedup.
     """
     messages: List[str] = []
     ok = True

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.analysis.characterize import characterize_result, class_winners
 from repro.analysis.metrics import geomean_improvement
 from repro.analysis.report import format_bottleneck_tables, format_table
+from repro.arch import OPTIMIZED
 from repro.arch.simulator import SimulationResult
 from repro.arch.stats import improvement_percent
 from repro.campaign.manifest import Manifest, ManifestState
@@ -888,7 +889,7 @@ class CampaignRunner:
             title = f"scale {group['scale']:g}"
             if group["mesh"]:
                 title += f" · mesh {group['mesh'][0]}x{group['mesh'][1]}"
-            if group["engine_profile"] != "optimized":
+            if group["engine_profile"] != OPTIMIZED:
                 title += f" · {group['engine_profile']} engine"
             if group["tunables"]:
                 title += " · tunables " + ",".join(

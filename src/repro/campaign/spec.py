@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.arch.engine import ENGINE_PROFILES, OPTIMIZED
+from repro.arch import ENGINE_PROFILES, OPTIMIZED
 from repro.config import ArchConfig, DEFAULT_CONFIG
 from repro.core.tunables import Tunables
 from repro.workloads.suite import (
@@ -125,7 +125,7 @@ class SweepUnit:
     resumed campaign recognizes completed units across processes; the
     simulation itself is addressed by the unit's :meth:`job_key` (the
     runtime's cache digest), which deliberately ignores
-    ``engine_profile`` — profiles are pinned cycle-identical and share
+    ``engine_profile`` — engines are pinned cycle-identical and share
     cache entries.
     """
 

@@ -116,13 +116,15 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
              "as JSON lines; implies serial execution and skips "
              "disk-cache reads so every job actually simulates",
     )
-    from repro.arch.engine import ENGINE_PROFILES
+    from repro.arch import ENGINE_PROFILES, OPTIMIZED
 
     p.add_argument(
-        "--engine-profile", default="optimized", dest="engine_profile",
+        "--engine-profile", default=OPTIMIZED, dest="engine_profile",
         choices=ENGINE_PROFILES,
-        help="simulation-engine implementation (perf knob only; all "
-             "profiles are pinned cycle-identical and share cache keys)",
+        help="simulation engine: 'reference' (the oracle) or the fast "
+             "engine, named 'optimized' or 'vectorized' (perf knob only; "
+             "both engines are pinned cycle-identical and share cache "
+             "keys)",
     )
     p.add_argument(
         "--no-batch", action="store_true", dest="no_batch",

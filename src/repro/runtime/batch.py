@@ -11,7 +11,7 @@ everything that is pure per trace signature:
   signature (benchmark, variant, scale, config, tunables, pass
   options).  Beyond skipping regeneration, the LRU guarantees *object
   identity* of the trace across the chunk, which is what makes the
-  vectorized profile's identity-keyed pre-pass cache
+  fast engine's identity-keyed pre-pass cache
   (:mod:`repro.arch.prepass`) hit: address maps and contention-free
   windows are computed once per trace, not once per simulation;
 * **route tables and serialization memos** — already process-wide
@@ -32,7 +32,7 @@ import time
 from collections import OrderedDict
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.arch.engine import OPTIMIZED
+from repro.arch import OPTIMIZED
 from repro.arch.simulator import SimulationResult
 from repro.config import ArchConfig
 from repro.runtime.keys import JobKey

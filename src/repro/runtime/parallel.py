@@ -33,8 +33,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.engine import ENGINE_PROFILES, OPTIMIZED
-from repro.arch.simulator import SimulationResult, SystemSimulator
+from repro.arch import OPTIMIZED, engine_class
+from repro.arch.simulator import SimulationResult
 from repro.config import ArchConfig
 from repro.runtime.backoff import backoff_delay
 from repro.runtime.cache import NullCache, ResultCache
@@ -66,10 +66,10 @@ class RuntimeOptions:
     #: JSONL path for the instrumentation bus (``--trace-events``); the
     #: bus is process-local state, so tracing forces serial execution
     trace_events: Optional[str] = None
-    #: simulation-engine implementation profile (``--engine-profile``).
-    #: A *performance* knob only — all profiles are pinned
-    #: cycle-identical by the differential harness, so the profile
-    #: deliberately does NOT enter :class:`JobKey` cache keys.
+    #: simulation engine by name (``--engine-profile``; see
+    #: :data:`repro.arch.ENGINES`).  A *performance* knob only — the
+    #: engines are pinned cycle-identical by the differential harness,
+    #: so the name deliberately does NOT enter :class:`JobKey` keys.
     engine_profile: str = OPTIMIZED
     #: amortize trace generation and warm caches across a chunk of jobs
     #: (:mod:`repro.runtime.batch`); ``--no-batch`` restores strictly
@@ -77,12 +77,7 @@ class RuntimeOptions:
     batch: bool = True
 
     def __post_init__(self) -> None:
-        if self.engine_profile not in ENGINE_PROFILES:
-            valid = ", ".join(repr(p) for p in ENGINE_PROFILES)
-            raise ValueError(
-                f"unknown engine profile {self.engine_profile!r} "
-                f"(valid profiles: {valid})"
-            )
+        engine_class(self.engine_profile)  # raises on unknown names
 
     @property
     def effective_jobs(self) -> int:
@@ -185,8 +180,8 @@ def execute_job(
 ) -> SimulationResult:
     """Compile, lower, and simulate one job.  Pure and deterministic:
     the result depends only on ``(cfg, key)``; an attached ``event_bus``
-    observes the run without changing it, and ``engine_profile`` selects
-    an implementation whose results are pinned identical.  ``trace``
+    observes the run without changing it, and ``engine_profile`` names
+    an engine whose results are pinned identical.  ``trace``
     optionally supplies the already-compiled trace for this key (the
     batch executor's amortization); it must equal what
     ``compiled_trace`` would produce."""
@@ -203,13 +198,12 @@ def execute_job(
         # pool worker, and batch — so preparation can never fork
         # serial/parallel/batch determinism.
         scheme.prepare(cfg, trace)
-    sim = SystemSimulator(
+    sim = engine_class(engine_profile)(
         cfg,
         scheme,
         profile_windows=key.profile_windows,
         collect_window_series=key.collect_window_series,
         collect_pc_stats=key.collect_pc_stats,
-        engine_profile=engine_profile,
         event_bus=event_bus,
     )
     return sim.run(trace)

@@ -557,9 +557,9 @@ class OffloadProfile:
     """Per-site offload statistics mined from a warm-up event stream.
 
     The profile is pure data — content-addressed by :meth:`digest`
-    (deterministic across engine profiles and backends, because the
-    event stream itself is pinned profile-invariant by the
-    differential suite) and cached module-wide so a warm-up never
+    (deterministic across engines and backends, because the event
+    stream itself is pinned engine-invariant by the differential
+    suite) and cached module-wide so a warm-up never
     re-runs for the same (trace, config, cap).
     """
 
@@ -665,17 +665,19 @@ def warmup_profile(
     The warm-up replays ``trace`` under an aggressive blind-offload
     policy (:class:`WaitForever` at ``wait_cap``) with the event bus
     attached, then mines the stream.  Runs at most once per (trace
-    content, config, cap) per process.
+    content, config, cap) per process, always on the default (fast)
+    engine: the mined profile is a pure function of the event stream,
+    which both engines publish identically.
     """
     key = (_trace_digest(trace), cfg, wait_cap)
     prof = _PROFILE_CACHE.get(key)
     if prof is None:
         # Lazy import: the simulator imports this module.
+        from repro.arch import engine_class
         from repro.arch.events import EventBus
-        from repro.arch.simulator import SystemSimulator
 
         bus = EventBus()
-        sim = SystemSimulator(
+        sim = engine_class()(
             cfg, WaitForever(wait_cap=wait_cap), event_bus=bus
         )
         sim.run(trace)

@@ -5,9 +5,9 @@
   the program — the resolver computed concrete addresses at build
   time, so re-basing would silently break the correspondence.
 * The ``nmpo`` warm-up profile is content-addressed: its digest must be
-  identical across engine profiles and executor backends (the event
-  stream it mines is pinned profile-invariant by the differential
-  suite).
+  identical across engines and executor backends (the event stream it
+  mines is pinned engine-invariant by the differential suite), and the
+  warm-up itself replays on the fast engine.
 * The scheme-registry API must not move the pre-registry ground truth:
   the default :class:`~repro.campaign.SweepSpec` digest (and therefore
   every existing campaign id) is pinned byte-for-byte.
@@ -21,9 +21,14 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro import schemes as S
-from repro.arch.engine import ENGINE_PROFILES
+from repro.arch import (
+    ENGINE_PROFILES,
+    REFERENCE,
+    SystemSimulator,
+    VectorizedSimulator,
+    engine_class,
+)
 from repro.arch.events import EventBus
-from repro.arch.simulator import SystemSimulator
 from repro.campaign import SweepSpec
 from repro.config import DEFAULT_CONFIG
 from repro.core.ir import (
@@ -181,22 +186,48 @@ class TestCodaPlacementLegality:
 class TestNmpoProfileDeterminism:
     def test_digest_identical_across_engine_profiles(self):
         """The profile digest is a pure function of the pinned event
-        stream, so every engine profile mines the same profile."""
+        stream, so every engine mines the same profile."""
         cfg = DEFAULT_CONFIG
         cap = Tunables().hard_wait_cap
         trace = benchmark_trace("fft", "original", 0.1, cfg)
         digests = {}
         for profile in ENGINE_PROFILES:
             bus = EventBus()
-            sim = SystemSimulator(
-                cfg, S.WaitForever(wait_cap=cap),
-                engine_profile=profile, event_bus=bus,
+            sim = engine_class(profile)(
+                cfg, S.WaitForever(wait_cap=cap), event_bus=bus
             )
             sim.run(trace)
             prof = S.OffloadProfile.from_events(bus.collected())
             digests[profile] = prof.digest()
             assert prof.sites, f"{profile}: warm-up mined no sites"
         assert len(set(digests.values())) == 1, digests
+
+    def test_warmup_replays_on_fast_engine(self, monkeypatch):
+        """The warm-up is a whole extra replay per nmpo unit: it must run
+        on the fast engine, and still mine the reference engine's
+        profile."""
+        cfg = DEFAULT_CONFIG
+        cap = Tunables().hard_wait_cap
+        trace = benchmark_trace("fft", "original", 0.08, cfg)
+        replayed = []
+        for cls in (SystemSimulator, VectorizedSimulator):
+            real_run = cls.run
+
+            def recording_run(self, tr, _real=real_run):
+                replayed.append(type(self))
+                return _real(self, tr)
+
+            monkeypatch.setattr(cls, "run", recording_run)
+        S.clear_profile_cache()
+        prof = S.warmup_profile(cfg, trace, cap)
+        assert replayed == [VectorizedSimulator]
+
+        bus = EventBus()
+        engine_class(REFERENCE)(
+            cfg, S.WaitForever(wait_cap=cap), event_bus=bus
+        ).run(trace)
+        ref = S.OffloadProfile.from_events(bus.collected())
+        assert prof.digest() == ref.digest()
 
     def test_warmup_cache_is_content_addressed(self):
         cfg = DEFAULT_CONFIG

@@ -1,7 +1,7 @@
 """Property + regression tests for the capacity-timeline implementations.
 
-The optimized :class:`~repro.arch.engine.CapacityTimeline` (lazily
-invalidated end heaps) is held equivalent to the pre-optimization
+The fast engine's :class:`~repro.arch.engine.CapacityTimeline` (lazily
+invalidated end heaps) is held equivalent to the reference engine's
 :class:`~repro.arch.engine.ReferenceCapacityTimeline` (full rescans) by
 driving both with identical random operation sequences and comparing
 every observable after every step — admit outcomes, purge counts,
@@ -15,13 +15,7 @@ had already been purged; it is now a counted no-op.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.engine import (
-    OPTIMIZED,
-    REFERENCE,
-    CapacityTimeline,
-    ReferenceCapacityTimeline,
-    capacity_timeline,
-)
+from repro.arch.engine import CapacityTimeline, ReferenceCapacityTimeline
 
 # One program step: (op, args...) over a bounded id space so re-use of
 # purged ids (the service tables' actual behaviour) is exercised.
@@ -99,9 +93,12 @@ def test_occupancy_invariants(capacity, steps):
 class TestUpdateEndAfterPurge:
     """The previously crashing sequence, pinned as a counted no-op."""
 
-    @pytest.mark.parametrize("profile", [OPTIMIZED, REFERENCE])
-    def test_late_update_is_noop_with_counter(self, profile):
-        tl = capacity_timeline(2, "svc", profile)
+    @pytest.mark.parametrize(
+        "cls", [CapacityTimeline, ReferenceCapacityTimeline],
+        ids=["optimized", "reference"],
+    )
+    def test_late_update_is_noop_with_counter(self, cls):
+        tl = cls(2, "svc")
         assert tl.admit(1, 10, 20)
         assert tl.purge(25) == 1          # entry 1 has left
         tl.update_end(1, 30)              # used to raise KeyError
@@ -126,15 +123,17 @@ class TestUpdateEndAfterPurge:
 
 class TestFactoryAndBasics:
     def test_factory_dispatch(self):
-        assert isinstance(
-            capacity_timeline(1, profile=OPTIMIZED), CapacityTimeline
-        )
-        assert isinstance(
-            capacity_timeline(1, profile=REFERENCE),
-            ReferenceCapacityTimeline,
-        )
-        with pytest.raises(ValueError, match="engine profile"):
-            capacity_timeline(1, profile="warp")
+        """Each engine's NDC tables are built on its own timeline class
+        (a class attribute of its machine state, not a runtime branch)."""
+        from repro.arch import REFERENCE, VECTORIZED, engine_class
+        from repro.config import DEFAULT_CONFIG, NdcLocation
+
+        for name, cls in ((REFERENCE, ReferenceCapacityTimeline),
+                          (VECTORIZED, CapacityTimeline)):
+            m = engine_class(name)(DEFAULT_CONFIG).machine
+            assert type(m.offload_tables[0]._slots) is cls, name
+            unit = m.unit(NdcLocation.CACHE, ("l2", 0))
+            assert type(unit.table._slots) is cls, name
 
     @pytest.mark.parametrize("cls", [CapacityTimeline, ReferenceCapacityTimeline])
     def test_positive_capacity_required(self, cls):

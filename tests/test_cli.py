@@ -139,10 +139,10 @@ class TestRuntimeFlagSync:
             assert "wait-5%," in parser.format_help()
 
     def test_engine_profile_choices_match_engine(self):
-        """--engine-profile offers exactly the engine's profile tuple
-        (adding a profile without exposing it, or exposing one the
-        engine does not know, both fail here)."""
-        from repro.arch.engine import ENGINE_PROFILES
+        """--engine-profile offers exactly the engine-name table's keys
+        (adding a name without exposing it, or exposing one the table
+        does not know, both fail here)."""
+        from repro.arch import ENGINE_PROFILES
 
         top = _subparsers(build_parser())
         action = top["bench"]._option_string_actions["--engine-profile"]

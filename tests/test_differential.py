@@ -1,26 +1,31 @@
-"""Differential-equivalence harness: every engine profile vs reference.
+"""Differential-equivalence harness: the fast engine vs the reference.
 
-The hot-path optimizations (memoized route tables, heap-backed capacity
-timelines, the stamp-free NoC transit path, fused reservation, and the
-vectorized profile's trace pre-pass + window resolution) are only
+The fast engine's speed-ups (memoized route tables, heap-backed
+capacity timelines, the stamp-free NoC transit path, fused
+reservation, the trace pre-pass + window resolution) are only
 admissible because they can never change a result.  This suite is that
 guarantee:
 
 * the full Fig. 4 scheme lineup produces **cycle-exact identical**
-  :class:`~repro.arch.simulator.SimulationResult`s under the
-  ``optimized`` and ``vectorized`` profiles as under ``reference`` —
-  on an affine benchmark and on the sparse/mixed families;
-* the golden headline geomeans are byte-identical under the reference
-  profile (the regular golden test pins the optimized default);
+  :class:`~repro.arch.simulator.SimulationResult`s on the fast engine
+  as on the reference engine — on affine benchmarks and on the
+  sparse/mixed families;
+* the golden headline geomeans are byte-identical on the reference
+  engine (the regular golden test pins the fast default);
 * hypothesis properties pin the memoized tables to their closed forms
   (``RouteTable`` == ``xy_route``, ``serialization_table`` == the
-  ceil-division formula) and ``Network.transit`` to ``traverse``;
-* with an :class:`~repro.arch.events.EventBus` attached, both profiles
+  ceil-division formula) and the fast network's ``transit`` to the
+  reference network's ``traverse``;
+* with an :class:`~repro.arch.events.EventBus` attached, both engines
   publish the **identical event stream** — the lazy fast path cannot
   silently drop events;
-* engine profiles are perf knobs only: they do not exist in
+* engines are perf knobs only: they do not exist in
   :class:`~repro.runtime.keys.JobKey`, do not alter any cache digest,
   and the cache schema remains v3.
+
+``"optimized"`` and ``"vectorized"`` name the same fast engine (pinned
+by :meth:`TestLineupEquivalence.test_fft_lineup_identical`); the lineup
+comparisons run it under each name against one cached reference run.
 """
 
 import json
@@ -29,49 +34,67 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import schemes as S
-from repro.arch.engine import (
+from repro.arch import (
     ENGINE_PROFILES,
     OPTIMIZED,
     REFERENCE,
     VECTORIZED,
+    SystemSimulator,
+    engine_class,
 )
 from repro.arch.events import EventBus
 from repro.arch.noc import Network
+from repro.arch.vectorized import VectorizedNetwork
 from repro.arch.routing import (
     RouteTable,
     route_table_for,
     serialization_table,
     xy_route,
 )
-from repro.arch.simulator import SystemSimulator
 from repro.arch.topology import mesh_for
 from repro.config import DEFAULT_CONFIG
 from repro.workloads import benchmark_trace
 
 SCALE = 0.1
+#: the fast engine's default name (``"vectorized"`` is the same class)
+FAST = OPTIMIZED
+#: both public names of the fast engine
+FAST_NAMES = pytest.mark.parametrize("profile", [OPTIMIZED, VECTORIZED])
 
 
 def _run_lineup(benchmark: str, profile: str, bus=None):
-    """Every Fig. 4 scheme on ``benchmark`` under one engine profile."""
+    """Every Fig. 4 scheme on ``benchmark`` on one engine."""
     cfg = DEFAULT_CONFIG
     results = {}
     for entry in S.fig4_lineup(None):
         trace = benchmark_trace(benchmark, entry.variant, SCALE, cfg)
-        sim = SystemSimulator(
-            cfg, entry.build(), engine_profile=profile, event_bus=bus
-        )
+        sim = engine_class(profile)(cfg, entry.build(), event_bus=bus)
         results[entry.label] = sim.run(trace)
     return results
+
+
+_REFERENCE_LINEUPS: dict = {}
+
+
+def _reference_lineup(benchmark: str):
+    """The reference engine's lineup on ``benchmark``, run once per
+    module: every fast-engine name is compared against the same run."""
+    if benchmark not in _REFERENCE_LINEUPS:
+        _REFERENCE_LINEUPS[benchmark] = _run_lineup(benchmark, REFERENCE)
+    return _REFERENCE_LINEUPS[benchmark]
 
 
 # ======================================================================
 # cycle-exact result equality
 # ======================================================================
 class TestLineupEquivalence:
-    @pytest.mark.parametrize("profile", [OPTIMIZED, VECTORIZED])
+    @FAST_NAMES
     def test_fft_lineup_identical(self, profile):
+        # Both fast names resolve to one class, distinct from the oracle.
+        assert engine_class(OPTIMIZED) is engine_class(VECTORIZED)
+        assert engine_class(profile) is not engine_class(REFERENCE)
         got = _run_lineup("fft", profile)
-        ref = _run_lineup("fft", REFERENCE)
+        ref = _reference_lineup("fft")
         assert got.keys() == ref.keys()
         for label in got:
             assert got[label] == ref[label], (
@@ -82,20 +105,20 @@ class TestLineupEquivalence:
     def test_families_lineup_identical(self, bench_name):
         """The sparse/mixed families stress the paths the affine lineup
         cannot (opaque references, per-core heterogeneity): the
-        vectorized profile must stay cycle-exact on them too."""
-        vec = _run_lineup(bench_name, VECTORIZED)
-        ref = _run_lineup(bench_name, REFERENCE)
-        for label in vec:
-            assert vec[label] == ref[label], (
-                f"vectorized divergence on {bench_name}/{label}"
+        fast engine must stay cycle-exact on them too."""
+        fast = _run_lineup(bench_name, FAST)
+        ref = _reference_lineup(bench_name)
+        for label in fast:
+            assert fast[label] == ref[label], (
+                f"fast-engine divergence on {bench_name}/{label}"
             )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("bench_name", ["swim", "md"])
-    @pytest.mark.parametrize("profile", [OPTIMIZED, VECTORIZED])
+    @FAST_NAMES
     def test_full_lineup_identical(self, bench_name, profile):
         got = _run_lineup(bench_name, profile)
-        ref = _run_lineup(bench_name, REFERENCE)
+        ref = _reference_lineup(bench_name)
         for label in got:
             assert got[label] == ref[label], (
                 f"{profile} divergence on {bench_name}/{label}"
@@ -105,23 +128,58 @@ class TestLineupEquivalence:
         """Collection knobs (pc stats, windows) divert nothing either."""
         cfg = DEFAULT_CONFIG
         trace = benchmark_trace("fft", "alg1", 0.05, cfg)
-        results = []
-        for profile in ENGINE_PROFILES:
-            sim = SystemSimulator(
+        ref, fast = (
+            engine_class(profile)(
                 cfg,
                 S.CompilerDirected(),
                 profile_windows=True,
                 collect_window_series=True,
                 collect_pc_stats=True,
-                engine_profile=profile,
-            )
-            results.append(sim.run(trace))
-        for profile, res in zip(ENGINE_PROFILES[1:], results[1:]):
-            assert res == results[0], f"{profile} instrumentation drift"
+            ).run(trace)
+            for profile in (REFERENCE, FAST)
+        )
+        assert fast == ref, "fast-engine instrumentation drift"
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="engine profile"):
-            SystemSimulator(DEFAULT_CONFIG, engine_profile="fast")
+            engine_class("fast")
+        # The retired constructor seam fails loudly instead of silently
+        # building the reference engine.
+        with pytest.raises(TypeError):
+            SystemSimulator(DEFAULT_CONFIG, engine_profile=VECTORIZED)
+
+
+# ======================================================================
+# two engines, one name table
+# ======================================================================
+def test_exactly_two_engines_behind_the_names():
+    from repro.arch import ENGINES, VectorizedSimulator
+
+    assert set(ENGINES) == set(ENGINE_PROFILES)
+    assert set(ENGINES.values()) == {SystemSimulator, VectorizedSimulator}
+
+
+def test_engine_names_live_only_in_the_table():
+    """Only the name table (``repro/arch/__init__.py``) may know engine
+    names: no module below it branches on one, so the removed
+    per-profile forks cannot grow back."""
+    import re
+    from pathlib import Path
+
+    import repro.arch
+
+    forbidden = re.compile(
+        r"OPTIMIZED|VECTORIZED|engine_profile|profile ==|profile !="
+    )
+    root = Path(repro.arch.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(root.glob("*.py"))
+        if path.name != "__init__.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if forbidden.search(line)
+    ]
+    assert not offenders, "\n".join(offenders)
 
 
 # ======================================================================
@@ -129,8 +187,8 @@ class TestLineupEquivalence:
 # ======================================================================
 def test_golden_headline_reference_profile():
     """The committed golden JSON is byte-identical when recomputed with
-    the reference engine (the golden test itself pins the optimized
-    default, so together they pin profile equality at artifact level)."""
+    the reference engine (the golden test itself pins the fast default,
+    so together they pin engine equality at artifact level)."""
     from pathlib import Path
 
     from repro.analysis.experiments import ExperimentRunner
@@ -172,8 +230,7 @@ def test_golden_headline_reference_profile():
     }
     rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert rendered.encode() == GOLDEN_PATH.read_bytes(), (
-        "reference engine profile drifted from the committed golden "
-        "headline"
+        "reference engine drifted from the committed golden headline"
     )
 
 
@@ -228,7 +285,7 @@ def test_serialization_table_equals_formula(payload, width):
 
 
 # ======================================================================
-# Network.transit == Network.traverse (hypothesis)
+# VectorizedNetwork.transit == Network.traverse (hypothesis)
 # ======================================================================
 @given(
     transfers=st.lists(
@@ -249,7 +306,7 @@ def test_transit_matches_traverse(transfers):
     mesh = mesh_for(cfg.noc.width, cfg.noc.height)
     table = route_table_for(mesh)
     net_a = Network(mesh, cfg.noc)
-    net_b = Network(mesh, cfg.noc)
+    net_b = VectorizedNetwork(mesh, cfg.noc)
     for src, dst, start, payload, commit in transfers:
         if src == dst:
             continue
@@ -269,20 +326,19 @@ def test_transit_matches_traverse(transfers):
 
 
 # ======================================================================
-# the event stream is profile-invariant
+# the event stream is engine-invariant
 # ======================================================================
 def test_event_stream_identical_across_profiles():
     streams = {}
-    for profile in ENGINE_PROFILES:
+    for profile in (REFERENCE, FAST):
         bus = EventBus()
         _run_lineup("fft", profile, bus=bus)
         assert bus.emitted > 0, "lineup emitted no events at all"
         streams[profile] = bus.collected()
-    assert streams[OPTIMIZED] == streams[REFERENCE]
-    assert streams[VECTORIZED] == streams[REFERENCE], (
-        "the vectorized fast paths dropped or reordered events"
+    assert streams[FAST] == streams[REFERENCE], (
+        "the fast paths dropped or reordered events"
     )
-    kinds = {e.kind for e in streams[OPTIMIZED]}
+    kinds = {e.kind for e in streams[FAST]}
     # The lineup exercises the offload lifecycle, not just stalls.
     assert "offload_completed" in kinds
 
@@ -305,8 +361,8 @@ class TestCacheKeysUnforked:
         )
 
     def test_digest_independent_of_runtime_profile(self, tmp_path):
-        """A result simulated under one profile is a disk-cache hit for
-        a runner configured with the other profile."""
+        """A result simulated on one engine is a disk-cache hit for a
+        runner configured with another engine name."""
         from repro.analysis.experiments import ExperimentRunner
         from repro.runtime import RuntimeOptions
 
@@ -326,8 +382,8 @@ class TestCacheKeysUnforked:
             hits[profile] = runner.engine.stats.disk_hits
         assert digests[OPTIMIZED] == digests[REFERENCE]
         assert hits[REFERENCE] == 1, (
-            "the reference-profile runner should have hit the cache "
-            "entry written by the optimized-profile runner"
+            "the reference-engine runner should have hit the cache "
+            "entry written by the fast-engine runner"
         )
 
     def test_runtime_rejects_unknown_profile(self):

@@ -1,18 +1,15 @@
-"""The reserve/commit engine core: timelines, properties, regressions.
+"""The reserve/commit engine core: timelines and their properties.
 
-Three layers of coverage:
+Two layers of coverage:
 
 * unit tests on :class:`ResourceTimeline` / :class:`CapacityTimeline`
-  (gap-filling, merging, accounting, the commit-ahead compatibility
-  mode);
+  (gap-filling, merging, accounting);
 * hypothesis properties — equal-priority reservation order never
   changes the resulting schedule, and gap-filling never finishes
-  later than commit-ahead on *any* request sequence;
-* a system-level contention regression pinning the *direction* of the
-  engine change: two cores hammering one L2 bank or one DRAM bank
-  finish strictly earlier under reserve/commit than under the seed's
-  commit-ahead approximation (which serialized temporally-earlier ops
-  behind usage committed deep into the future).
+  later than the seed's commit-ahead approximation on *any* request
+  sequence.  Commit-ahead (one append-only ``free_at`` clock per
+  resource) survives only as the test-local :class:`AppendOnlyTimeline`
+  oracle below.
 """
 
 import itertools
@@ -20,16 +17,28 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.engine import (
-    CapacityTimeline,
-    COMMIT_AHEAD,
-    ENGINE_MODES,
-    RESERVE_COMMIT,
-    ResourceTimeline,
-)
-from repro.arch.simulator import simulate
-from repro.config import DEFAULT_CONFIG
-from repro.isa import load, make_trace
+from repro.arch.engine import CapacityTimeline, ResourceTimeline
+
+
+class AppendOnlyTimeline:
+    """The seed's commit-ahead clock: every reservation appends after
+    the last one, so gaps are never reused."""
+
+    def __init__(self):
+        self.free_at = 0
+        self.busy_cycles = 0
+        self.stall_cycles = 0
+
+    def earliest_free(self, now: int, span: int) -> int:
+        return max(now, self.free_at) if span > 0 else now
+
+    def reserve(self, now: int, span: int) -> int:
+        start = self.earliest_free(now, span)
+        if span > 0:
+            self.free_at = start + span
+            self.busy_cycles += span
+            self.stall_cycles += start - now
+        return start
 
 
 class TestResourceTimeline:
@@ -56,7 +65,9 @@ class TestResourceTimeline:
         assert tl.earliest_free(40, 80) == 150
 
     def test_commit_ahead_never_reuses_gaps(self):
-        tl = ResourceTimeline("r", mode=COMMIT_AHEAD)
+        """The test-local commit-ahead oracle appends past the gap that
+        :meth:`test_gap_fill_slides_into_front_gap` fills."""
+        tl = AppendOnlyTimeline()
         tl.reserve(100, 50)
         assert tl.earliest_free(0, 10) == 150
         assert tl.reserve(0, 10) == 150
@@ -89,8 +100,9 @@ class TestResourceTimeline:
         assert tl.free_at == 0
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceTimeline("r", mode="optimistic")
+        """Gap-filling is the only mode: a stale ``mode=`` fails loudly."""
+        with pytest.raises(TypeError):
+            ResourceTimeline("r", mode="commit-ahead")
 
 
 class TestCapacityTimeline:
@@ -156,24 +168,23 @@ class TestEngineProperties:
         """
         perm = list(spans)
         seed.shuffle(perm)
-        for mode in ENGINE_MODES:
-            outcomes = []
-            for order in (spans, perm):
-                tl = ResourceTimeline("r", mode=mode)
-                for span in order:
-                    tl.reserve(now, span)
-                outcomes.append(
-                    (tl.free_at, tl.busy_cycles, tuple(tl.intervals()))
-                )
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[0][0] == now + sum(spans)
+        outcomes = []
+        for order in (spans, perm):
+            tl = ResourceTimeline("r")
+            for span in order:
+                tl.reserve(now, span)
+            outcomes.append(
+                (tl.free_at, tl.busy_cycles, tuple(tl.intervals()))
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == now + sum(spans)
 
     @given(reqs=requests)
     @settings(max_examples=120, deadline=None)
     def test_gap_fill_never_finishes_later_than_commit_ahead(self, reqs):
         """The whole point of the engine change, as an invariant."""
-        rc = ResourceTimeline("r", mode=RESERVE_COMMIT)
-        ca = ResourceTimeline("r", mode=COMMIT_AHEAD)
+        rc = ResourceTimeline("r")
+        ca = AppendOnlyTimeline()
         for now, span in reqs:
             rc.reserve(now, span)
             ca.reserve(now, span)
@@ -190,67 +201,3 @@ class TestEngineProperties:
                 tl.reserve(5, span)
             seen.add((tl.free_at, tl.busy_cycles, tuple(tl.intervals())))
         assert seen == {(46, 41, ((5, 46),))}
-
-
-# ----------------------------------------------------------------------
-# system-level contention regression (direction, not exact cycles)
-# ----------------------------------------------------------------------
-
-def _hammer(addr_fn, per_core=24, cores=2):
-    streams = [
-        [load(i, a) for i, a in enumerate(addr_fn(c, per_core))]
-        for c in range(cores)
-    ]
-    return make_trace(streams)
-
-
-class TestContentionRegression:
-    """Two cores on one hot resource: reserve/commit beats commit-ahead.
-
-    The seed's scalar ``free_at`` clocks forced every access from the
-    second core behind usage the first core had committed far into the
-    future.  Gap-filling lets temporally-earlier requests interleave,
-    so total cycles must come out *strictly* lower — the test pins the
-    direction of the change, not an exact cycle count.
-    """
-
-    def test_one_dram_bank(self):
-        cfg = DEFAULT_CONFIG
-        stride = (cfg.memory.interleave_bytes
-                  * cfg.memory.num_controllers
-                  * cfg.memory.dram.banks_per_controller)
-
-        def addrs(core, n):   # controller 0, bank 0, distinct rows
-            return [(core * 1000 + i) * stride for i in range(n)]
-
-        for a in addrs(0, 4) + addrs(1, 4):
-            assert cfg.memory_controller(a) == 0
-            assert cfg.dram_bank(a) == 0
-        trace = _hammer(addrs)
-        rc = simulate(trace, cfg)
-        ca = simulate(trace, cfg, engine_mode="commit-ahead")
-        assert rc.cycles < ca.cycles
-
-    def test_one_l2_bank(self):
-        cfg = DEFAULT_CONFIG
-        stride = cfg.l2.line_bytes * cfg.noc.num_nodes
-
-        def addrs(core, n):   # every line homed at node 0
-            return [(core * 1000 + i) * stride for i in range(n)]
-
-        for a in addrs(0, 4) + addrs(1, 4):
-            assert cfg.l2_home_node(a) == 0
-        trace = _hammer(addrs)
-        rc = simulate(trace, cfg)
-        ca = simulate(trace, cfg, engine_mode="commit-ahead")
-        assert rc.cycles < ca.cycles
-
-    def test_modes_agree_when_uncontended(self):
-        """A single core never exercises gap-filling: modes must agree."""
-        cfg = DEFAULT_CONFIG
-        trace = make_trace(
-            [[load(i, i * 0x1340) for i in range(16)]]
-        )
-        rc = simulate(trace, cfg)
-        ca = simulate(trace, cfg, engine_mode="commit-ahead")
-        assert rc.cycles == ca.cycles

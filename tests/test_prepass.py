@@ -1,11 +1,10 @@
-"""The vectorized profile's trace pre-pass (:mod:`repro.arch.prepass`).
+"""The fast engine's trace pre-pass (:mod:`repro.arch.prepass`).
 
 The pre-pass trades per-access arithmetic for bulk computation; its
 outputs must equal the config's closed forms *exactly* (any drift
-would silently fork the vectorized profile's cycle counts — the
-differential harness would catch that end to end, these tests catch it
-at the source).  The numpy and pure-Python sweeps are pinned against
-each other so the optional-dependency fallback cannot rot.
+would silently fork the fast engine's cycle counts — the differential
+harness would catch that end to end, these tests catch it at the
+source).
 """
 
 import pytest
@@ -52,15 +51,6 @@ class TestAddressMap:
                         continue
                     assert addr in amap
 
-    @pytest.mark.skipif(not prepass.HAVE_NUMPY,
-                        reason="needs numpy to compare against fallback")
-    def test_numpy_and_fallback_sweeps_agree(self, trace, mesh,
-                                             monkeypatch):
-        fast = prepass.address_map(trace, DEFAULT_CONFIG, mesh)
-        monkeypatch.setattr(prepass, "_np", None)
-        slow = prepass.address_map(trace, DEFAULT_CONFIG, mesh)
-        assert fast == slow
-
 
 class TestWorkWindows:
     def test_runs_are_maximal_work_spans(self, trace):
@@ -93,14 +83,6 @@ class TestWorkWindows:
             work = {i for i, op in enumerate(stream)
                     if op.kind == OpKind.WORK}
             assert covered == work
-
-    @pytest.mark.skipif(not prepass.HAVE_NUMPY,
-                        reason="needs numpy to compare against fallback")
-    def test_numpy_and_fallback_sweeps_agree(self, trace, monkeypatch):
-        fast = prepass.work_windows(trace)
-        monkeypatch.setattr(prepass, "_np", None)
-        slow = prepass.work_windows(trace)
-        assert fast == slow
 
 
 class TestPrepassCache:

@@ -19,7 +19,7 @@ import pickle
 import pytest
 
 from repro import schemes as S
-from repro.arch.simulator import SystemSimulator
+from repro.arch import SystemSimulator, VectorizedSimulator
 from repro.config import DEFAULT_CONFIG
 from repro.runtime import (
     JobKey,
@@ -246,13 +246,14 @@ class TestWarmRunAllZeroSims:
         assert cold.stats.executed > 0
 
         calls = {"n": 0}
-        real_run = SystemSimulator.run
+        for cls in (SystemSimulator, VectorizedSimulator):
+            real_run = cls.run
 
-        def counting_run(self, trace):
-            calls["n"] += 1
-            return real_run(self, trace)
+            def counting_run(self, trace, _real=real_run):
+                calls["n"] += 1
+                return _real(self, trace)
 
-        monkeypatch.setattr(SystemSimulator, "run", counting_run)
+            monkeypatch.setattr(cls, "run", counting_run)
 
         warm = ExperimentRunner(
             scale=SCALE, benchmarks=benches,

@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.arch.simulator import SystemSimulator, simulate
+from repro.arch import engine_class
+from repro.arch.simulator import simulate
 from repro.isa import load, make_trace, store, work
+
+#: tests that only need *a* simulator use the default (fast) engine
+Simulator = engine_class()
 
 
 @pytest.fixture
 def sim(cfg):
-    return SystemSimulator(cfg)
+    return Simulator(cfg)
 
 
 class TestBasicOps:
@@ -127,13 +131,13 @@ class TestRunLoop:
 class TestPcStats:
     def test_collected_when_enabled(self, cfg):
         tr = make_trace([[load(7, 0x1000), load(7, 0x1000)]])
-        sim = SystemSimulator(cfg, collect_pc_stats=True)
+        sim = Simulator(cfg, collect_pc_stats=True)
         sim.run(tr)
         h1, m1, h2, m2 = sim.pc_stats[7]
         assert (h1, m1) == (1, 1)
 
     def test_disabled_by_default(self, cfg):
         tr = make_trace([[load(7, 0x1000)]])
-        sim = SystemSimulator(cfg)
+        sim = Simulator(cfg)
         sim.run(tr)
         assert sim.pc_stats == {}

@@ -2,10 +2,14 @@
 
 
 from repro import schemes as S
-from repro.arch.simulator import SystemSimulator, simulate
+from repro.arch import engine_class
+from repro.arch.simulator import simulate
 from repro.arch.stats import NEVER
 from repro.config import NdcComponentMask, NdcLocation, OpClass
 from repro.isa import compute, load, make_trace, pre_compute
+
+#: tests that only need *a* simulator use the default (fast) engine
+Simulator = engine_class()
 
 
 def same_bank_pair(cfg):
@@ -21,7 +25,7 @@ def same_bank_pair(cfg):
 
 class TestCandidates:
     def test_trial_order(self, cfg):
-        sim = SystemSimulator(cfg)
+        sim = Simulator(cfg)
         op = compute(1, *same_bank_pair(cfg))
         cands = sim._candidates(5, op, 0)
         locs = [c.location for c in cands]
@@ -29,7 +33,7 @@ class TestCandidates:
         assert locs.index(NdcLocation.MEMCTRL) < locs.index(NdcLocation.MEMORY)
 
     def test_memory_candidates_for_uncached_pair(self, cfg):
-        sim = SystemSimulator(cfg)
+        sim = Simulator(cfg)
         op = compute(1, *same_bank_pair(cfg))
         by_loc = {c.location: c for c in sim._candidates(5, op, 0)}
         mc = by_loc[NdcLocation.MEMCTRL]
@@ -39,14 +43,14 @@ class TestCandidates:
         assert mem.completion() <= mc.completion()
 
     def test_cache_candidate_requires_residency(self, cfg):
-        sim = SystemSimulator(cfg)
+        sim = Simulator(cfg)
         a, b = same_bank_pair(cfg)
         op = compute(1, a, b)
         by_loc = {c.location: c for c in sim._candidates(5, op, 0)}
         assert by_loc[NdcLocation.CACHE].avail_x >= NEVER
 
     def test_cache_candidate_when_co_resident(self, cfg):
-        sim = SystemSimulator(cfg)
+        sim = Simulator(cfg)
         a = 1 << 20
         b = a + 64  # same 256-byte L2 line: same home bank
         sim.l2[cfg.l2_home_node(a)].fill(a)
@@ -58,7 +62,7 @@ class TestCandidates:
         assert cache.node == cfg.l2_home_node(a)
 
     def test_different_mc_no_memory_station(self, cfg):
-        sim = SystemSimulator(cfg)
+        sim = Simulator(cfg)
         a = 1 << 20
         b = a + 4096  # next page: different controller
         assert cfg.memory_controller(a) != cfg.memory_controller(b)
@@ -92,7 +96,7 @@ class TestOffloadExecution:
     def test_ndc_skips_l1_fill(self, cfg):
         a, b = same_bank_pair(cfg)
         tr = make_trace([[compute(1, a, b), compute(2, a, b)]])
-        sim = SystemSimulator(cfg, S.OracleScheme())
+        sim = Simulator(cfg, S.OracleScheme())
         sim.run(tr)
         # After the first offload, the lines are NOT in L1 (unlike a
         # conventional execution).
@@ -102,7 +106,7 @@ class TestOffloadExecution:
     def test_conventional_fills_l1(self, cfg):
         a, b = same_bank_pair(cfg)
         tr = make_trace([[compute(1, a, b)]])
-        sim = SystemSimulator(cfg)  # NoNdc
+        sim = Simulator(cfg)  # NoNdc
         sim.run(tr)
         assert sim.l1[0].probe(a) and sim.l1[0].probe(b)
 
@@ -136,7 +140,7 @@ class TestOffloadExecution:
         a, b = same_bank_pair(cfg)
         dest = (1 << 21) + 512
         tr = make_trace([[compute(1, a, b, dest=dest)]])
-        sim = SystemSimulator(cfg, S.OracleScheme())
+        sim = Simulator(cfg, S.OracleScheme())
         sim.run(tr)
         assert sim.l2[cfg.l2_home_node(dest)].probe(dest)
 
@@ -164,7 +168,7 @@ class TestOffloadExecution:
         a, b = same_bank_pair(cfg)
         op = pre_compute(1, a, b, mask=NdcComponentMask.MEMORY, timeout=140)
         tr = make_trace([[op]])
-        sim = SystemSimulator(cfg, S.CompilerDirected())
+        sim = Simulator(cfg, S.CompilerDirected())
         sim.l2[cfg.l2_home_node(b)].fill(b)
         res = sim.run(tr)
         assert res.stats.ndc.total_performed == 0
@@ -191,7 +195,7 @@ class TestServiceTablePressure:
         """
         tight = cfg.with_ndc(service_table_entries=2)
         tr = self._pressure_trace(tight)
-        sim = SystemSimulator(tight, S.WaitForever())
+        sim = Simulator(tight, S.WaitForever())
         res = sim.run(tr)
         failed = res.stats.ndc.aborted_timeout + res.stats.ndc.aborted_table_full
         assert failed == 12
@@ -204,25 +208,12 @@ class TestServiceTablePressure:
         assert sum(u.stats.timed_out for u in mc_units) >= 1
         assert sum(u.stats.total_wait_cycles for u in mc_units) > 0
 
-    def test_commit_ahead_mode_staggers_parks(self, cfg):
-        """The seed's commit-ahead approximation staggered the parks in
-        time (each op committed its wait into the future before the next
-        core ran), so every package found a drained table and timed out
-        individually.  ``engine_mode="commit-ahead"`` preserves that
-        behaviour for regression comparisons."""
-        tight = cfg.with_ndc(service_table_entries=2)
-        tr = self._pressure_trace(tight)
-        sim = SystemSimulator(tight, S.WaitForever(), engine_mode="commit-ahead")
-        res = sim.run(tr)
-        assert res.stats.ndc.aborted_timeout == 12
-        assert res.stats.ndc.total_performed == 0
-
 
 class TestProfiling:
     def test_arrival_records_per_location(self, cfg):
         a, b = same_bank_pair(cfg)
         tr = make_trace([[load(0, a), load(1, b), compute(2, a, b)]])
-        sim = SystemSimulator(cfg, profile_windows=True)
+        sim = Simulator(cfg, profile_windows=True)
         res = sim.run(tr)
         locs = {r.location for r in res.stats.arrival_records}
         assert locs == set(NdcLocation)
@@ -230,7 +221,7 @@ class TestProfiling:
     def test_memory_window_small_for_adjacent_loads(self, cfg):
         a, b = same_bank_pair(cfg)
         tr = make_trace([[load(0, a), load(1, b), compute(2, a, b)]])
-        sim = SystemSimulator(cfg, profile_windows=True)
+        sim = Simulator(cfg, profile_windows=True)
         res = sim.run(tr)
         mem = [r for r in res.stats.arrival_records
                if r.location == NdcLocation.MEMORY]
@@ -240,7 +231,7 @@ class TestProfiling:
         a = 1 << 20
         b = a + 4096
         tr = make_trace([[load(0, a), load(1, b), compute(2, a, b)]])
-        sim = SystemSimulator(cfg, profile_windows=True)
+        sim = Simulator(cfg, profile_windows=True)
         res = sim.run(tr)
         mem = [r for r in res.stats.arrival_records
                if r.location == NdcLocation.MEMORY]

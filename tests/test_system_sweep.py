@@ -5,12 +5,16 @@ import pytest
 from repro import schemes as S
 from repro.analysis.cdf import distribution_table
 from repro.analysis.metrics import improvements_over_base
-from repro.arch.simulator import SystemSimulator, simulate
+from repro.arch import engine_class
+from repro.arch.simulator import simulate
 from repro.arch.stats import improvement_percent
 from repro.config import DEFAULT_CONFIG, NdcComponentMask, NdcLocation
 from repro.isa import compute, make_trace, pre_compute
 from repro.workloads import benchmark_trace, compiled_trace
 from repro.workloads.suite import BENCHMARK_NAMES
+
+#: tests that only need *a* simulator use the default (fast) engine
+Simulator = engine_class()
 
 TINY = 0.08
 
@@ -83,7 +87,7 @@ class TestHardwareKnobs:
 class TestProfilingAtScale:
     def test_profile_records_cover_all_locations(self):
         tr = benchmark_trace("barnes", "original", TINY)
-        sim = SystemSimulator(DEFAULT_CONFIG, profile_windows=True)
+        sim = Simulator(DEFAULT_CONFIG, profile_windows=True)
         res = sim.run(tr)
         locs = {r.location for r in res.stats.arrival_records}
         assert locs == set(NdcLocation)
@@ -92,7 +96,7 @@ class TestProfilingAtScale:
 
     def test_distribution_table_from_records(self):
         tr = benchmark_trace("mgrid", "original", TINY)
-        sim = SystemSimulator(DEFAULT_CONFIG, profile_windows=True)
+        sim = Simulator(DEFAULT_CONFIG, profile_windows=True)
         res = sim.run(tr)
         table = distribution_table({
             loc.short_name: res.stats.windows_for(loc) for loc in NdcLocation
