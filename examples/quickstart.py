@@ -98,12 +98,14 @@ def main() -> None:
     #        profile="optimized" | "vectorized" (one fast engine, two
     #                names) | "reference" (the oracle)
     #        backend="batch" | "per-unit"
-    from repro import api
+    from repro import api, quick_compare
 
     res = api.simulate("fft", "algorithm-1", scale=0.1, cache=False)
     print(f"api.simulate('fft', 'algorithm-1'): {res.cycles} cycles")
     prof = api.characterize("fft", scale=0.1, cache=False)
     print(f"api.characterize('fft'): bottleneck {prof.bottleneck_class}")
+    # The headline schemes on one benchmark (what `repro compare` prints).
+    print(quick_compare("fft", scale=0.1))
 
 
 if __name__ == "__main__":

@@ -120,27 +120,17 @@ def quick_compare(
     Returns a small text table of improvement percentages — the
     friendliest way to see the system end to end.  ``tunables``
     defaults to the shipped per-scale calibration (see
-    :mod:`repro.tuning`) when one exists.
+    :mod:`repro.tuning`) when one exists.  Runs serially with the
+    disk cache off through the compare helper beside
+    :func:`repro.api.simulate` — the same rows ``repro compare``
+    prints.
     """
     from repro.analysis.report import format_table
-    from repro.schemes import build_scheme
-    from repro.tuning import calibrated_tunables
+    from repro.api import _compare
 
-    if tunables is None:
-        tunables = calibrated_tunables(scale)
-    base = simulate(benchmark_trace(benchmark, "original", scale),
-                    DEFAULT_CONFIG).cycles
-    rows = []
-    for label in ("wait-forever", "oracle", "algorithm-1", "algorithm-2"):
-        entry = build_scheme(label, tunables)
-        cycles = simulate(
-            benchmark_trace(
-                benchmark, entry.variant, scale,
-                tunables=None if entry.variant == "original" else tunables,
-            ),
-            DEFAULT_CONFIG, entry.build(),
-        ).cycles
-        rows.append([label, improvement_percent(base, cycles)])
+    base, rows = _compare(
+        benchmark, scale=scale, tunables=tunables, cache=False
+    )
     return format_table(
         ["scheme", "improvement %"], rows,
         title=f"{benchmark} @ scale {scale} (baseline {base} cycles)",

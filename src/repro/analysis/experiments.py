@@ -14,7 +14,9 @@ instructions per core).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import schemes as S
 from repro.analysis.cdf import (
@@ -897,31 +899,41 @@ def fidelity_summary(
 
 
 def run_all(
-    runner: Optional[ExperimentRunner] = None, verbose: bool = True
+    runner: Optional[ExperimentRunner] = None,
+    verbose: bool = True,
+    only: Optional[Iterable[str]] = None,
 ) -> List[ExperimentResult]:
-    """Regenerate every table/figure; returns results in paper order,
-    closing with the fidelity checklist."""
+    """Regenerate every table/figure in paper order, closing with the
+    fidelity checklist — the one artifact loop behind ``repro
+    experiments`` and :func:`repro.api.evaluate`.
+
+    ``only`` keeps just the drivers whose function name contains one
+    of its substrings (``["fig4", "table2"]``); without it the whole
+    job matrix is first fanned out over the pool (a no-op when the
+    runtime is serial), so the drivers hit warm caches.
+    """
     runner = runner or ExperimentRunner()
-    # Fan the whole job matrix out over the pool first (no-op when the
-    # runtime is serial); the drivers below then hit the warm caches.
-    runner.prefetch_standard()
+    wanted = list(only or ())
+    if not wanted:
+        runner.prefetch_standard()
     out: List[ExperimentResult] = []
-    for fn in ALL_EXPERIMENTS:
+    for fn in ALL_EXPERIMENTS + (fidelity_summary,):
+        if wanted and not any(w in fn.__name__ for w in wanted):
+            continue
         if fn is table1_configuration:
             res = fn(runner.cfg)
+        elif fn is fidelity_summary:
+            by_name = {r.name: r for r in out}
+            res = fn(
+                runner, fig4=by_name.get("fig4"),
+                table2=by_name.get("table2"),
+            )
         else:
             res = fn(runner)
         out.append(res)
         if verbose:
             print(res.render())
             print()
-    by_name = {r.name: r for r in out}
-    summary = fidelity_summary(
-        runner, fig4=by_name.get("fig4"), table2=by_name.get("table2")
-    )
-    out.append(summary)
-    if verbose:
-        print(summary.render())
     return out
 
 

@@ -2,10 +2,14 @@
 
 Seven verbs cover everything external callers do, wrapping the
 internal entrypoints (:class:`~repro.analysis.experiments.\
-ExperimentRunner`, ``run_all``, :func:`repro.schemes.fig4_lineup`,
+ExperimentRunner` and its one artifact loop
+:func:`~repro.analysis.experiments.run_all`,
 :class:`repro.tuning.Tuner`, :class:`repro.campaign.CampaignRunner`,
 :mod:`repro.bench.microbench`, :mod:`repro.analysis.characterize`)
-behind one small, import-light surface::
+behind one small, import-light surface — the only front door: the
+``python -m repro`` CLI is a parse → verb → render shell over it, and
+:func:`repro.quick_compare` shares ``repro compare``'s private helper
+beside :func:`simulate`::
 
     from repro import api
 
@@ -52,6 +56,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -168,6 +173,49 @@ def simulate(
         runner.engine.close()
 
 
+#: The cast ``repro compare`` and :func:`repro.quick_compare` run when
+#: no ``--schemes`` are given.
+_COMPARE_LABELS = ("wait-forever", "oracle", "algorithm-1", "algorithm-2")
+
+
+def _compare(
+    workload: str,
+    schemes: Union[None, str, Sequence[str]] = None,
+    *,
+    scale: float = 0.25,
+    tunables: Optional["Tunables"] = None,
+    profile: Optional[str] = None,
+    backend: Optional[str] = None,
+    cfg: Optional["ArchConfig"] = None,
+    options: Optional["RuntimeOptions"] = None,
+    cache: bool = True,
+    stats: Optional["RunnerStats"] = None,
+) -> Tuple[int, List[list]]:
+    """``(baseline cycles, [[label, improvement %], ...])`` for one
+    workload: the no-NDC baseline plus one run per scheme label, all on
+    one runner (``repro compare`` and :func:`repro.quick_compare`)."""
+    from repro.analysis.experiments import ExperimentRunner
+    from repro.config import DEFAULT_CONFIG
+    from repro.schemes import build_scheme
+
+    labels = _schemes(schemes) or _COMPARE_LABELS
+    runner = ExperimentRunner(
+        cfg=cfg or DEFAULT_CONFIG, scale=scale, tunables=tunables,
+        runtime=_options(options, profile, cache, backend), stats=stats,
+    )
+    try:
+        base = runner.baseline_cycles(workload)
+        rows = []
+        for label in labels:
+            entry = build_scheme(label, runner.tunables)
+            rows.append([label, runner.improvement(
+                workload, entry.factory, entry.variant
+            )])
+    finally:
+        runner.engine.close()
+    return base, rows
+
+
 def lineup(
     scale: float = 0.25,
     benchmarks: Optional[Sequence[str]] = None,
@@ -244,26 +292,11 @@ def evaluate(
         suite=suite, tunables=tunables, lineup=_schemes(schemes),
         runtime=_options(options, profile, cache, backend), stats=stats,
     )
-    wanted = list(specs) if specs is not None else []
-    out: Dict[str, object] = {}
     try:
-        if not wanted:
-            runner.prefetch_standard()
-        drivers: List = list(E.ALL_EXPERIMENTS) + [E.fidelity_summary]
-        for fn in drivers:
-            if wanted and not any(w in fn.__name__ for w in wanted):
-                continue
-            res = (
-                fn(runner.cfg) if fn is E.table1_configuration
-                else fn(runner)
-            )
-            out[res.name] = res
-            if verbose:
-                print(res.render())
-                print()
+        results = E.run_all(runner, verbose=verbose, only=specs)
     finally:
         runner.engine.close()
-    return out
+    return {res.name: res for res in results}
 
 
 def tune(

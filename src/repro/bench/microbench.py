@@ -31,12 +31,10 @@ same stretch of host time.
 from __future__ import annotations
 
 import gc
-import json
 import platform
 import random
-import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 BASELINE_FILENAME = "BENCH_engine.json"
 #: v2: the lineup tier measures the executor path (per-unit vs batch)
@@ -368,39 +366,3 @@ def compare_to_baseline(
     if not messages:
         messages.append("baseline carries no gate metrics; gate skipped")
     return ok, messages
-
-
-def main_bench(
-    smoke: bool,
-    out: Optional[str],
-    baseline: Optional[str],
-    max_slowdown: float,
-    benchmark: str = "fft",
-    scale: float = 0.1,
-) -> int:
-    """Driver used by ``repro bench --perf/--smoke`` (and CI)."""
-    import os
-
-    if os.environ.get("REPRO_BENCH_SKIP") == "1":
-        print("REPRO_BENCH_SKIP=1: perf benchmark skipped", file=sys.stderr)
-        return 0
-    report = run_bench(smoke=smoke, benchmark=benchmark, scale=scale)
-    print(render_report(report))
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {out}", file=sys.stderr)
-    if baseline:
-        try:
-            with open(baseline) as fh:
-                base = json.load(fh)
-        except FileNotFoundError:
-            print(f"no baseline at {baseline}; gate skipped",
-                  file=sys.stderr)
-            return 0
-        ok, messages = compare_to_baseline(report, base, max_slowdown)
-        for msg in messages:
-            print(msg)
-        return 0 if ok else 1
-    return 0

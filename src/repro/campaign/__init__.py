@@ -57,7 +57,7 @@ from repro.campaign.runner import (
     CampaignResult,
     CampaignRunner,
     WorkerResult,
-    run_campaign,
+    write_or_verify_spec,
 )
 from repro.campaign.spec import (
     BASELINE_LABEL,
@@ -115,5 +115,5 @@ __all__ = [
     "lineup_job_key",
     "lineup_units",
     "normalize_tunables",
-    "run_campaign",
+    "write_or_verify_spec",
 ]

@@ -82,6 +82,25 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def write_or_verify_spec(cdir: Path, spec: SweepSpec) -> bool:
+    """Create ``cdir/spec.json`` from ``spec``, or check the one there.
+
+    Returns ``False`` when the directory was created from a different
+    spec (digest mismatch); the caller words the refusal.  The write
+    is atomic, so a campaign killed mid-create never leaves a torn
+    spec behind.
+    """
+    cdir.mkdir(parents=True, exist_ok=True)
+    spec_path = cdir / SPEC_NAME
+    if spec_path.exists():
+        return SweepSpec.load(spec_path).spec_digest() == spec.spec_digest()
+    _write_atomic(
+        spec_path,
+        json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n",
+    )
+    return True
+
+
 class CampaignError(RuntimeError):
     """A campaign-level usage error (bad resume, spec mismatch, ...)."""
 
@@ -108,6 +127,7 @@ class CampaignResult:
 class WorkerResult:
     """What one :meth:`CampaignRunner.attach_worker` drain produced."""
 
+    campaign_id: str
     worker_id: str
     results: Dict[str, SimulationResult]   #: unit_id -> result (ours)
     stats: RunnerStats
@@ -574,6 +594,7 @@ class CampaignRunner:
         if finalize:
             finalized = self._finalize(units, session)
         return WorkerResult(
+            campaign_id=self.campaign_id,
             worker_id=queue.worker_id, results=results,
             stats=self.stats, finalized=finalized,
         )
@@ -626,6 +647,7 @@ class CampaignRunner:
         finally:
             queue.close()
         return WorkerResult(
+            campaign_id=self.campaign_id,
             worker_id=queue.worker_id, results=results,
             stats=self.stats, finalized=False,
         )
@@ -739,20 +761,10 @@ class CampaignRunner:
         )
 
     def _prepare_dir(self, cdir: Path, resume: bool) -> None:
-        cdir.mkdir(parents=True, exist_ok=True)
-        spec_path = cdir / SPEC_NAME
-        spec_dict = self.spec.to_json_dict()
-        if spec_path.exists():
-            on_disk = json.loads(spec_path.read_text())
-            disk_spec = SweepSpec.from_dict(on_disk)
-            if disk_spec.spec_digest() != self.spec.spec_digest():
-                raise CampaignError(
-                    f"campaign {cdir.name!r} was created from a different "
-                    "spec; pick a new --name or delete the directory"
-                )
-        else:
-            spec_path.write_text(
-                json.dumps(spec_dict, indent=2, sort_keys=True) + "\n"
+        if not write_or_verify_spec(cdir, self.spec):
+            raise CampaignError(
+                f"campaign {cdir.name!r} was created from a different "
+                "spec; pick a new --name or delete the directory"
             )
         has_progress = bool(self.manifest.state().units)
         if has_progress and not resume:
@@ -969,17 +981,3 @@ def _worker_process(
         base_cfg=base_cfg, max_attempts=max_attempts,
     )
     runner.attach_worker(lease=lease, poll=poll)
-
-
-def run_campaign(
-    spec: SweepSpec,
-    *,
-    root: Union[None, str, Path] = None,
-    options: Optional[RuntimeOptions] = None,
-    resume: bool = False,
-    workers: int = 1,
-    **kwargs,
-) -> CampaignResult:
-    """One-call convenience wrapper (the facade's ``sweep``)."""
-    runner = CampaignRunner(spec, root=root, options=options, **kwargs)
-    return runner.run(resume=resume, workers=workers)

@@ -14,6 +14,22 @@ Commands
 ``inspect``      show a benchmark's structure and pass decisions
 ``config``       print the Table 1 machine description
 
+The CLI is a shell over :mod:`repro.api`: every simulating command
+parses its flags, makes exactly one facade call, renders the result
+and returns an exit code — ``compare`` → the private compare helper
+beside :func:`repro.api.simulate` (shared with
+:func:`repro.quick_compare`), ``bench`` → :func:`~repro.api.lineup`
+(``--perf``/``--smoke``: :func:`~repro.api.bench`), ``experiments`` →
+:func:`~repro.api.evaluate`, ``tune`` → :func:`~repro.api.tune`,
+``sweep run``/``resume``/``worker --server`` →
+:func:`~repro.api.sweep`.  What stays here is argparse, reading the
+``--tunables`` file, building the
+:class:`~repro.runtime.RuntimeOptions` and inline sweep spec, writing
+the calibration artifact, printing ``--stats``, and the exit codes.
+The campaign bookkeeping commands (local ``sweep worker``, ``serve``,
+``status``, ``ls``, ``report``, ``gc``) have no facade verb and call
+:mod:`repro.campaign` directly.
+
 Every simulating subcommand shares one runtime-flag surface
 (:data:`RUNTIME_FLAGS`, attached via a single argparse *parent*
 parser), so ``--jobs/--cache-dir/--no-cache/--stats/--timeout/
@@ -70,6 +86,7 @@ SCHEME_FLAGS = (
 
 def _runtime_options(args: argparse.Namespace):
     """Build RuntimeOptions from the shared runtime CLI flags."""
+    from repro.arch import OPTIMIZED
     from repro.runtime import RuntimeOptions, default_cache_dir
 
     cache_dir = None if args.no_cache else (
@@ -81,7 +98,7 @@ def _runtime_options(args: argparse.Namespace):
         stats=args.stats,
         timeout=args.timeout,
         trace_events=getattr(args, "trace_events", None),
-        engine_profile=getattr(args, "engine_profile", "optimized"),
+        engine_profile=getattr(args, "engine_profile", OPTIMIZED),
         batch=not getattr(args, "no_batch", False),
     )
 
@@ -192,39 +209,15 @@ def schemes_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _resolve_schemes(args: argparse.Namespace):
-    """The ``--schemes`` labels as a tuple, or None (command default)."""
-    schemes = getattr(args, "schemes", None)
-    return tuple(schemes) if schemes else None
-
-
-def _resolve_selection(args: argparse.Namespace):
-    """Benchmark names from ``--suite`` and/or explicit names, or None
-    (driver default) when neither was given."""
-    from repro.workloads.suite import resolve_benchmarks
-
-    benchmarks = getattr(args, "benchmarks", None)
-    suite = getattr(args, "suite", None)
-    if benchmarks or suite:
-        return resolve_benchmarks(benchmarks or None, suite or None)
-    return None
-
-
 def _load_tunables(args: argparse.Namespace):
     """The explicit --tunables file, or None (per-scale default)."""
     path = getattr(args, "tunables_file", None)
     if not path:
         return None
-    import json
-
     from repro.core.tunables import Tunables
 
     with open(path) as fh:
         return Tunables.from_dict(json.load(fh))
-
-
-def _print_stats(runner) -> None:
-    print(runner.stats.render(), file=sys.stderr)
 
 
 def _cmd_config(args: argparse.Namespace) -> int:
@@ -237,132 +230,106 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import ExperimentRunner
     from repro.analysis.report import format_table
-    from repro.schemes import build_scheme
+    from repro.api import _compare
+    from repro.runtime import RunnerStats
 
-    runner = ExperimentRunner(
-        scale=args.scale, runtime=_runtime_options(args),
-        tunables=_load_tunables(args),
+    stats = RunnerStats()
+    base, rows = _compare(
+        args.benchmark, args.schemes, scale=args.scale,
+        tunables=_load_tunables(args), options=_runtime_options(args),
+        stats=stats,
     )
-    labels = _resolve_schemes(args) or (
-        "wait-forever", "oracle", "algorithm-1", "algorithm-2",
-    )
-    try:
-        base = runner.baseline_cycles(args.benchmark)
-        rows = []
-        for label in labels:
-            entry = build_scheme(label, runner.tunables)
-            rows.append([label, runner.improvement(
-                args.benchmark, entry.factory, entry.variant
-            )])
-    finally:
-        runner.engine.close()
     print(format_table(
         ["scheme", "improvement %"], rows,
         title=f"{args.benchmark} @ scale {args.scale:g} "
               f"(baseline {base} cycles)",
     ))
     if args.stats:
-        _print_stats(runner)
+        print(stats.render(), file=sys.stderr)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.perf or args.smoke:
-        # Performance microbenchmarks (repro.bench), not the Fig. 4
-        # results table.  --smoke is the fast CI-gate variant.
-        from repro.bench.microbench import main_bench
+        return _cmd_bench_perf(args)
+    from repro import api
+    from repro.runtime import RunnerStats
 
-        return main_bench(
-            smoke=args.smoke,
-            out=args.out,
-            baseline=args.baseline,
-            max_slowdown=args.max_slowdown,
-        )
-    from repro.analysis.experiments import ExperimentRunner, fig4_scheme_benefits
-
-    runner = ExperimentRunner(
-        scale=args.scale, benchmarks=_resolve_selection(args),
-        lineup=_resolve_schemes(args),
-        runtime=_runtime_options(args), tunables=_load_tunables(args),
-    )
-    try:
-        if runner.parallel_enabled:
-            runner.prefetch(runner.fig4_jobs())
-        print(fig4_scheme_benefits(runner).render())
-    finally:
-        runner.engine.close()
+    stats = RunnerStats()
+    print(api.lineup(
+        args.scale, args.benchmarks, suite=args.suite,
+        schemes=args.schemes, tunables=_load_tunables(args),
+        options=_runtime_options(args), stats=stats,
+    ).render())
     if args.stats:
-        _print_stats(runner)
+        print(stats.render(), file=sys.stderr)
     return 0
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.analysis import experiments as E
+def _cmd_bench_perf(args: argparse.Namespace) -> int:
+    """The engine microbenchmarks (``--perf``; ``--smoke`` is the fast
+    CI-gate variant), not the Fig. 4 results table."""
+    import os
 
-    runner = E.ExperimentRunner(
-        scale=args.scale, benchmarks=_resolve_selection(args),
-        lineup=_resolve_schemes(args),
-        runtime=_runtime_options(args), tunables=_load_tunables(args),
+    if os.environ.get("REPRO_BENCH_SKIP") == "1":
+        print("REPRO_BENCH_SKIP=1: perf benchmark skipped", file=sys.stderr)
+        return 0
+    from repro import api
+    from repro.bench import render_report
+
+    have_baseline = bool(args.baseline) and os.path.exists(args.baseline)
+    report = api.bench(
+        smoke=args.smoke,
+        baseline=args.baseline if have_baseline else None,
+        max_slowdown=args.max_slowdown,
     )
-    wanted = set(args.only or [])
-    try:
-        if not wanted:
-            # Full report: fan the whole job matrix out up front.
-            runner.prefetch_standard()
-        drivers = list(E.ALL_EXPERIMENTS) + [E.fidelity_summary]
-        for fn in drivers:
-            name = fn.__name__
-            if wanted and not any(w in name for w in wanted):
-                continue
-            res = fn(runner.cfg) if fn is E.table1_configuration else fn(runner)
-            print(res.render())
-            print()
-    finally:
-        runner.engine.close()
+    gate = report.pop("gate", None)
+    print(render_report(report))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.out}", file=sys.stderr)
+    if gate is None:
+        if args.baseline:
+            print(f"no baseline at {args.baseline}; gate skipped",
+                  file=sys.stderr)
+        return 0
+    for msg in gate["messages"]:
+        print(msg)
+    return 0 if gate["ok"] else 1
+
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro import api
+    from repro.runtime import RunnerStats
+
+    stats = RunnerStats()
+    api.evaluate(
+        args.only, scale=args.scale, benchmarks=args.benchmarks,
+        suite=args.suite, schemes=args.schemes,
+        tunables=_load_tunables(args), options=_runtime_options(args),
+        stats=stats, verbose=True,
+    )
     if args.stats:
-        _print_stats(runner)
+        print(stats.render(), file=sys.stderr)
     return 0
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from datetime import date
 
-    from repro.tuning import (
-        SMOKE_BENCHMARKS,
-        SMOKE_GRID,
-        Tuner,
-        save_calibration,
-    )
+    from repro import api
+    from repro.tuning import save_calibration
 
-    kwargs = dict(
-        scale=args.scale,
-        seed=args.seed,
-        samples=args.samples,
-        survivors=args.survivors,
-        lineup=_resolve_schemes(args),
-        runtime=_runtime_options(args),
+    result = api.tune(
+        args.scale, seed=args.seed, samples=args.samples,
+        survivors=args.survivors, benchmarks=args.benchmarks,
+        suite=args.suite, schemes=args.schemes, smoke=args.smoke,
+        options=_runtime_options(args),
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    if args.smoke:
-        # CI pipeline check: tiny grid, two benchmarks, no promotion
-        # beyond them — exercises every stage in well under two minutes.
-        kwargs.update(
-            grid=SMOKE_GRID,
-            samples=min(args.samples, 4),
-            survivors=1,
-            cheap_benchmarks=SMOKE_BENCHMARKS,
-            full_benchmarks=SMOKE_BENCHMARKS,
-        )
-    selection = _resolve_selection(args)
-    if selection:
-        kwargs.update(full_benchmarks=selection)
-    tuner = Tuner(**kwargs)
-    try:
-        result = tuner.run()
-    finally:
-        tuner.close()
     print(result.describe())
     if args.smoke or args.dry_run:
         print("(dry run: calibration artifact not written)",
@@ -424,7 +391,13 @@ def _add_runs_dir_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _sweep_spec_from_args(args: argparse.Namespace):
-    """A SweepSpec from ``--spec FILE`` or the inline axis flags."""
+    """A SweepSpec from ``--spec FILE`` or the inline axis flags.
+
+    Built here rather than through ``api.sweep(suite=...)``: ``--suite``
+    alone sweeps only the listed families, whereas the facade merges
+    them into the spec's default benchmark list.
+    """
+    from repro.arch import OPTIMIZED
     from repro.campaign import SweepSpec, normalize_tunables
 
     if args.spec:
@@ -462,54 +435,56 @@ def _sweep_spec_from_args(args: argparse.Namespace):
     spec = SweepSpec.from_dict(data)
     # The runtime flags double as single-value axes for inline specs.
     tun = _load_tunables(args)
-    profile = getattr(args, "engine_profile", "optimized")
-    if tun is not None or profile != "optimized":
+    if tun is not None or args.engine_profile != OPTIMIZED:
         import dataclasses
 
         spec = dataclasses.replace(
             spec,
-            engine_profiles=(profile,),
+            engine_profiles=(args.engine_profile,),
             tunables=(normalize_tunables(tun),),
         )
     return spec
 
 
-def _finish_campaign(result, runner, args) -> int:
+def _run_campaign(args: argparse.Namespace, spec, **sweep_kwargs) -> int:
+    """``sweep run``/``resume``: one ``api.sweep`` call, then render."""
+    from repro import api
+    from repro.campaign import CampaignError, QueueError
+
+    try:
+        result = api.sweep(
+            spec, workers=args.workers, options=_runtime_options(args),
+            **sweep_kwargs,
+        )
+    except (CampaignError, QueueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result.report)
     done = len(result.results)
     total = result.summary["total_units"]
     print(
         f"[{result.campaign_id}] {done}/{total} units done, "
-        f"{runner.stats.executed} simulated, "
-        f"{runner.stats.hits} cache hits"
+        f"{result.stats.executed} simulated, "
+        f"{result.stats.hits} cache hits"
         + (f" -> {result.root}" if result.root else ""),
         file=sys.stderr,
     )
     if args.stats:
-        print(runner.stats.render(), file=sys.stderr)
+        print(result.stats.render(), file=sys.stderr)
     return 0 if result.ok else 1
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignError, CampaignRunner, QueueError
+    from repro.campaign import default_runs_root
 
     spec = _sweep_spec_from_args(args)
     root = None if args.in_memory else (
-        args.runs_dir or str(_default_runs_root())
+        args.runs_dir or str(default_runs_root())
     )
-    runner = CampaignRunner(
-        spec, root=root, options=_runtime_options(args),
-    )
-    try:
-        result = runner.run(resume=args.resume, workers=args.workers)
-    except (CampaignError, QueueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _finish_campaign(result, runner, args)
+    return _run_campaign(args, spec, root=root, resume=args.resume)
 
 
 def _cmd_sweep_resume(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignError, CampaignRunner, QueueError
     from repro.campaign import RunRegistry
 
     registry = RunRegistry(args.runs_dir)
@@ -517,55 +492,18 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
         print(f"error: no campaign {args.campaign!r} under "
               f"{registry.root}", file=sys.stderr)
         return 2
-    spec = registry.spec(args.campaign)
-    runner = CampaignRunner(
-        spec, root=registry.root, campaign_id=args.campaign,
-        options=_runtime_options(args),
+    return _run_campaign(
+        args, registry.spec(args.campaign), root=registry.root,
+        campaign_id=args.campaign, resume=True,
     )
-    try:
-        result = runner.run(resume=True, workers=args.workers)
-    except (CampaignError, QueueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _finish_campaign(result, runner, args)
 
 
 def _cmd_sweep_worker(args: argparse.Namespace) -> int:
+    if args.server:
+        return _sweep_worker_remote(args)
     from repro.campaign import CampaignError, CampaignRunner, QueueError
     from repro.campaign import RunRegistry
 
-    if args.server:
-        runner = CampaignRunner(None, options=_runtime_options(args))
-        try:
-            if args.campaign:
-                # Refuse up front if the server serves a different
-                # campaign than the one named on the command line.
-                from repro.campaign import RemoteClaimQueue
-
-                probe = RemoteClaimQueue(args.server)
-                served = probe.hello()["campaign"]
-                probe.close()
-                if served != args.campaign:
-                    print(f"error: {args.server} serves campaign "
-                          f"{served!r}, not {args.campaign!r}",
-                          file=sys.stderr)
-                    return 2
-            outcome = runner.attach_remote(
-                args.server, lease=args.lease, poll=args.poll,
-            )
-        except (CampaignError, QueueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"[{runner.campaign_id}] remote worker {outcome.worker_id}: "
-            f"{len(outcome.results)} units resolved, "
-            f"{runner.stats.executed} simulated "
-            f"(results shipped to {args.server})",
-            file=sys.stderr,
-        )
-        if args.stats:
-            print(runner.stats.render(), file=sys.stderr)
-        return 0
     if not args.campaign:
         print("error: give a CAMPAIGN id (or --server URL)",
               file=sys.stderr)
@@ -591,13 +529,49 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
     print(
         f"[{args.campaign}] worker {outcome.worker_id}: "
         f"{len(outcome.results)} units resolved, "
-        f"{runner.stats.executed} simulated, "
-        f"{runner.stats.hits} cache hits; campaign {blob['status']}",
+        f"{outcome.stats.executed} simulated, "
+        f"{outcome.stats.hits} cache hits; campaign {blob['status']}",
         file=sys.stderr,
     )
     if args.stats:
-        print(runner.stats.render(), file=sys.stderr)
+        print(outcome.stats.render(), file=sys.stderr)
     return 0 if blob["status"] == "complete" else 1
+
+
+def _sweep_worker_remote(args: argparse.Namespace) -> int:
+    """``sweep worker --server URL``: one ``api.sweep(server=...)``."""
+    from repro import api
+    from repro.campaign import CampaignError, QueueError, RemoteClaimQueue
+
+    try:
+        if args.campaign:
+            # Refuse up front if the server serves a different
+            # campaign than the one named on the command line.
+            probe = RemoteClaimQueue(args.server)
+            served = probe.hello()["campaign"]
+            probe.close()
+            if served != args.campaign:
+                print(f"error: {args.server} serves campaign "
+                      f"{served!r}, not {args.campaign!r}",
+                      file=sys.stderr)
+                return 2
+        outcome = api.sweep(
+            server=args.server, options=_runtime_options(args),
+            lease=args.lease, poll=args.poll,
+        )
+    except (CampaignError, QueueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(
+        f"[{outcome.campaign_id}] remote worker {outcome.worker_id}: "
+        f"{len(outcome.results)} units resolved, "
+        f"{outcome.stats.executed} simulated "
+        f"(results shipped to {args.server})",
+        file=sys.stderr,
+    )
+    if args.stats:
+        print(outcome.stats.render(), file=sys.stderr)
+    return 0
 
 
 def _cmd_sweep_serve(args: argparse.Namespace) -> int:
@@ -605,6 +579,7 @@ def _cmd_sweep_serve(args: argparse.Namespace) -> int:
 
     from repro.campaign import (
         ClaimServer, QueueError, RunRegistry, SweepSpec,
+        write_or_verify_spec,
     )
 
     registry = RunRegistry(args.runs_dir)
@@ -612,18 +587,10 @@ def _cmd_sweep_serve(args: argparse.Namespace) -> int:
     if args.spec:
         spec = SweepSpec.load(args.spec)
         campaign = campaign or spec.campaign_id
-        cdir = registry.campaign_dir(campaign)
-        spec_path = cdir / "spec.json"
-        if spec_path.exists():
-            on_disk = SweepSpec.load(spec_path)
-            if on_disk.spec_digest() != spec.spec_digest():
-                print(f"error: campaign {campaign!r} was created from a "
-                      "different spec", file=sys.stderr)
-                return 2
-        else:
-            cdir.mkdir(parents=True, exist_ok=True)
-            spec_path.write_text(json.dumps(
-                spec.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        if not write_or_verify_spec(registry.campaign_dir(campaign), spec):
+            print(f"error: campaign {campaign!r} was created from a "
+                  "different spec", file=sys.stderr)
+            return 2
     if not campaign:
         print("error: give a CAMPAIGN id or --spec FILE", file=sys.stderr)
         return 2
@@ -729,12 +696,6 @@ def _cmd_sweep_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_runs_root():
-    from repro.campaign import default_runs_root
-
-    return default_runs_root()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -766,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.25)
     p.add_argument("--perf", action="store_true",
                    help="run the engine performance microbenchmarks "
-                        "(optimized vs reference profile) instead of "
+                        "(reference vs fast engine) instead of "
                         "the Fig. 4 results table")
     p.add_argument("--smoke", action="store_true",
                    help="fast --perf variant for the CI regression gate "

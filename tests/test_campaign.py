@@ -390,6 +390,46 @@ class TestCampaignDirectory:
         assert SweepSpec.load(cdir / "spec.json") == spec
         assert res.stats.executed == 4
 
+    def test_spec_file_created_atomically_then_verified(
+        self, tmp_path, monkeypatch,
+    ):
+        """One create-or-verify for spec.json (``run`` and ``sweep
+        serve`` share it): the first call writes through the atomic
+        temp-file + rename writer, later calls compare digests and
+        never rewrite."""
+        from repro.campaign import runner as R
+
+        writes = []
+        real = R._write_atomic
+
+        def recording(path, text):
+            writes.append(path.name)
+            real(path, text)
+
+        monkeypatch.setattr(R, "_write_atomic", recording)
+        spec, cdir = self._spec(), tmp_path / "runs" / "dir-demo"
+        assert R.write_or_verify_spec(cdir, spec)
+        assert writes == ["spec.json"]
+        assert SweepSpec.load(cdir / "spec.json") == spec
+        before = (cdir / "spec.json").read_bytes()
+        assert R.write_or_verify_spec(cdir, spec)
+        other = SweepSpec(name="dir-demo", benchmarks=("fft",),
+                          schemes=("oracle",), scales=(SCALE,))
+        assert not R.write_or_verify_spec(cdir, other)
+        assert writes == ["spec.json"]
+        assert (cdir / "spec.json").read_bytes() == before
+
+    def test_different_spec_same_dir_raises(self, tmp_path):
+        opts = self._options(tmp_path)
+        CampaignRunner(self._spec(), root=tmp_path / "runs",
+                       options=opts).run()
+        other = SweepSpec(name="dir-demo", benchmarks=("fft",),
+                          schemes=("oracle",), scales=(SCALE,))
+        with pytest.raises(CampaignError, match="different spec"):
+            CampaignRunner(
+                other, root=tmp_path / "runs", options=opts
+            ).run()
+
     def test_rerun_without_resume_flag_raises(self, tmp_path):
         spec, opts = self._spec(), self._options(tmp_path)
         CampaignRunner(spec, root=tmp_path / "runs", options=opts).run()

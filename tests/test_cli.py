@@ -318,6 +318,32 @@ class TestSweepCommands:
         for row in summary["units"]:
             assert "bottleneck" in row
 
+    def test_serve_refuses_a_different_spec_before_binding(
+        self, tmp_path, capsys, monkeypatch,
+    ):
+        """``sweep serve --spec other.json <existing-id>`` exits 2 and
+        never constructs the claim server (so never binds a port)."""
+        import repro.campaign
+
+        self._run(tmp_path, capsys)
+        spec_path = tmp_path / "runs" / "cli-demo" / "spec.json"
+        before = spec_path.read_bytes()
+        other = tmp_path / "other.json"
+        other.write_text('{"benchmarks": ["swim"], "scales": [0.08]}')
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve bound a claim server")
+
+        monkeypatch.setattr(repro.campaign, "ClaimServer", no_server)
+        rc = main([
+            "sweep", "serve", "--spec", str(other), "cli-demo",
+            "--runs-dir", str(tmp_path / "runs"),
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert rc == 2
+        assert "different spec" in capsys.readouterr().err
+        assert spec_path.read_bytes() == before
+
     def test_second_run_without_resume_fails_cleanly(self, tmp_path,
                                                      capsys):
         self._run(tmp_path, capsys)
@@ -330,3 +356,154 @@ class TestSweepCommands:
         ])
         assert rc == 2
         assert "resume" in capsys.readouterr().err
+
+
+class TestSingleFrontDoor:
+    """Every simulating command is parse -> one ``repro.api`` verb ->
+    render: the CLI carries no driver loop of its own, so its output
+    is the facade's, byte for byte."""
+
+    SERIAL = ["--jobs", "1", "--no-cache"]
+
+    def test_cli_builds_no_drivers_of_its_own(self):
+        import inspect
+        from pathlib import Path
+
+        from repro import cli
+
+        source = Path(cli.__file__).read_text()
+        for name in ("ExperimentRunner", "Tuner(", "fig4_scheme_benefits",
+                     "run_bench", "main_bench"):
+            assert name not in source, f"cli.py still uses {name}"
+        for fn in (cli._cmd_sweep_run, cli._cmd_sweep_resume,
+                   cli._run_campaign, cli._sweep_worker_remote):
+            assert "CampaignRunner(" not in inspect.getsource(fn), (
+                f"{fn.__name__} constructs a CampaignRunner itself"
+            )
+
+    def test_bench_prints_the_facade_lineup(self, capsys):
+        from repro import api
+
+        assert main(["bench", "fft", "--scale", "0.08"] + self.SERIAL) == 0
+        out = capsys.readouterr().out
+        assert out == api.lineup(0.08, ["fft"], cache=False).render() + "\n"
+
+    def test_experiments_prints_the_facade_artifacts(self, capsys):
+        from repro import api
+
+        assert main([
+            "experiments", "--only", "table1", "fig4",
+            "--benchmarks", "fft", "--scale", "0.08",
+        ] + self.SERIAL) == 0
+        out = capsys.readouterr().out
+        expected = api.evaluate(
+            ["table1", "fig4"], scale=0.08, benchmarks=["fft"], cache=False,
+        )
+        assert list(expected) == ["table1", "fig4"]
+        assert out == "".join(r.render() + "\n\n" for r in expected.values())
+
+    def test_compare_rows_equal_quick_compare(self, capsys):
+        from repro import quick_compare
+
+        assert main(["compare", "fft", "--scale", "0.1"] + self.SERIAL) == 0
+        cli_lines = capsys.readouterr().out.splitlines()
+        api_lines = quick_compare("fft", 0.1).splitlines()
+        # line 0 is the title; the rest is the header + one row a scheme
+        assert len(cli_lines) == len(api_lines) == 7
+        assert cli_lines[1:] == api_lines[1:]
+
+    def test_compare_traces_every_run_into_one_file(self, tmp_path,
+                                                    capsys):
+        """The baseline and every scheme run share one runner, so one
+        ``--trace-events`` file holds all of their events and
+        ``--stats`` counts the baseline's in-memory reuse."""
+        trace = tmp_path / "t.jsonl"
+        assert main([
+            "compare", "fft", "--scale", "0.08", "--stats",
+            "--trace-events", str(trace),
+        ] + self.SERIAL) == 0
+        jobs = {json.loads(line)["job"]
+                for line in trace.read_text().splitlines()}
+        assert jobs == {
+            "fft/original/original", "fft/original/wait-forever",
+            "fft/original/oracle", "fft/alg1/compiler", "fft/alg2/compiler",
+        }
+        assert "cache: 4 memory hits" in capsys.readouterr().err
+
+
+#: A stand-in perf report: what ``render_report`` reads, nothing timed.
+FAKE_PERF_REPORT = {
+    "schema": 2,
+    "smoke": True,
+    "engine": {
+        "ops": 10, "resource_timeline_s": 0.001,
+        "capacity_timeline_optimized_s": 0.001,
+        "capacity_timeline_reference_s": 0.002,
+        "capacity_timeline_speedup": 2.0,
+    },
+    "single_sim": {
+        "benchmark": "fft", "scheme": "algorithm-2", "scale": 0.05,
+        "reference_s": 0.2, "vectorized_s": 0.1, "speedup": 2.0,
+    },
+    "lineup": {
+        "benchmark": "fft", "schemes": 9, "scale": 0.05,
+        "reference_s": 0.3, "vectorized_s": 0.1,
+        "vectorized_speedup": 3.0,
+    },
+    "meta": {},
+}
+
+
+class TestBenchPerf:
+    """``repro bench --perf/--smoke`` over ``api.bench``, with the
+    microbenchmarks stubbed out."""
+
+    @pytest.fixture
+    def fake_bench(self, monkeypatch):
+        import copy
+
+        from repro.bench import microbench
+
+        calls = []
+
+        def run_bench(**kwargs):
+            calls.append(kwargs)
+            return copy.deepcopy(FAKE_PERF_REPORT)
+
+        monkeypatch.delenv("REPRO_BENCH_SKIP", raising=False)
+        monkeypatch.setattr(microbench, "run_bench", run_bench)
+        return calls
+
+    def test_skip_env_runs_nothing(self, fake_bench, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_BENCH_SKIP", "1")
+        assert main(["bench", "--smoke", "--baseline", "BENCH.json"]) == 0
+        assert fake_bench == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "REPRO_BENCH_SKIP=1" in captured.err
+
+    def test_missing_baseline_skips_the_gate(self, fake_bench, tmp_path,
+                                             capsys):
+        missing = tmp_path / "nope.json"
+        out = tmp_path / "report.json"
+        assert main(["bench", "--smoke", "--baseline", str(missing),
+                     "--out", str(out)]) == 0
+        assert len(fake_bench) == 1 and fake_bench[0]["smoke"] is True
+        captured = capsys.readouterr()
+        assert captured.out.startswith("engine microbenchmarks (smoke):")
+        assert f"no baseline at {missing}; gate skipped" in captured.err
+        assert json.loads(out.read_text()) == FAKE_PERF_REPORT
+
+    def test_gate_messages_and_exit_code(self, fake_bench, tmp_path, capsys):
+        baseline = tmp_path / "base.json"
+        slower = json.loads(json.dumps(FAKE_PERF_REPORT))
+        baseline.write_text(json.dumps(slower))
+        assert main(["bench", "--perf", "--baseline", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "single_sim.speedup: current 2.00x" in out and "OK" in out
+        faster = json.loads(json.dumps(FAKE_PERF_REPORT))
+        faster["single_sim"]["speedup"] = 9.0
+        baseline.write_text(json.dumps(faster))
+        assert main(["bench", "--perf", "--baseline", str(baseline),
+                     "--max-slowdown", "10"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
