@@ -24,7 +24,14 @@ branches.  Over the reference semantics it layers:
 * **pure-phase estimate memoization**: a compute's estimate/candidate
   construction is documented purely observational, so repeated
   reserve-phase ``travel_time`` queries with identical arguments
-  within one compute are answered once.
+  within one compute are answered once;
+* a **demand-driven pure phase**: an L1-hit compute under an NDC
+  scheme runs on the core with nothing priced, and every other scheme
+  sees a lazy context (:class:`DemandComputeContext`) that prices the
+  conventional estimate and the station candidates only on first
+  read — the ``original`` baseline and the blind wait schemes never
+  read the estimate, and ``opportunities_seen`` settles on residency
+  before it prices a station.
 
 Everything here must be *invisible* in results: the fast engine is
 pinned cycle-exact-identical to the reference engine on the full
@@ -68,17 +75,15 @@ from repro.arch.simulator import SimulationResult, SystemSimulator
 from repro.arch.stats import NEVER
 from repro.config import NdcComponentMask, NdcLocation
 from repro.isa import OpKind, Trace
-from repro.schemes import ComputeContext, NoNdc, StationCandidate
+from repro.schemes import Decision, NoNdc, StationCandidate
 
 
 class VectorizedNetwork(Network):
-    """Mesh NoC with the per-hop loops fused and fast-pathed.
+    """Mesh NoC state laid out for the fused hop walk.
 
-    The fast path fires when no reservation on the link ends after the
-    wanted departure cycle — then ``earliest_free`` is the identity and
-    ``reserve`` is an append/extend, with identical counters (busy,
-    stall, reservations, queue cycles, flit hops) and identical event
-    emission (a zero-cycle queue never emitted a stall event).
+    :meth:`VectorizedMachineState.travel_time` walks these flat
+    per-link interval lists directly; the network keeps only the
+    layout and the per-payload serialization memo.
     """
 
     def __init__(self, *args, **kwargs):
@@ -94,125 +99,6 @@ class VectorizedNetwork(Network):
 
     def serialization_cycles(self, payload_bytes: int) -> int:
         return serialization_table(payload_bytes, self.cfg.link_bytes)
-
-    def transit(
-        self,
-        link_ids: Tuple[int, ...],
-        start: int,
-        payload_bytes: int,
-        commit: bool = True,
-    ) -> int:
-        """Arrival-only flavour of :meth:`traverse` over memoized link ids.
-
-        Identical timing, contention, statistics, and event emission —
-        but no :class:`~repro.arch.noc.Traversal` allocation (pinned
-        against ``traverse`` by a hypothesis property).
-        """
-        st = self._ser_tail.get(payload_bytes)
-        if st is None:
-            ser = self.serialization_cycles(payload_bytes)
-            st = (ser, self._hop_tail + ser)
-            self._ser_tail[payload_bytes] = st
-        ser, tail = st
-        links = self._links
-        lstarts = self._lstarts
-        lends = self._lends
-        router_latency = self._router_latency
-        bisect = bisect_right
-        t = start
-        if not commit:
-            for link_id in link_ids:
-                ends = lends[link_id]
-                want = t + router_latency
-                if not ends or ends[-1] <= want:
-                    t = want + tail
-                    continue
-                # Inlined ResourceTimeline.earliest_free (gap-fill,
-                # span > 0, non-empty): skip intervals ending at or
-                # before `want`, then walk the remaining gaps.  Interval
-                # lists stay short (merges fuse neighbours), so a linear
-                # skip beats the bisect call except on long tails.
-                starts = lstarts[link_id]
-                n = len(starts)
-                if n < 8:
-                    i = 0
-                    while i < n and ends[i] <= want:
-                        i += 1
-                else:
-                    i = bisect(ends, want)
-                free = want
-                while i < n:
-                    if starts[i] - free >= ser:
-                        break
-                    e = ends[i]
-                    if e > free:
-                        free = e
-                    i += 1
-                t = free + tail
-            return t
-        bus = self.bus
-        stats = self.stats
-        flits = 0
-        for link_id in link_ids:
-            tl = links[link_id]
-            ends = lends[link_id]
-            want = t + router_latency
-            tl.reservations += 1
-            tl.busy_cycles += ser
-            if not ends or ends[-1] <= want:
-                # O(1) append/extend: the gap walk would land here anyway.
-                if ends and ends[-1] == want:
-                    ends[-1] = want + ser
-                else:
-                    lstarts[link_id].append(want)
-                    ends.append(want + ser)
-                t = want + tail
-            else:
-                # Inlined ResourceTimeline.reserve (gap-fill, span > 0,
-                # non-empty): same single gap walk, then the same
-                # predecessor/successor merge on insertion.
-                starts = lstarts[link_id]
-                n = len(starts)
-                if n < 8:
-                    i = 0
-                    while i < n and ends[i] <= want:
-                        i += 1
-                else:
-                    i = bisect(ends, want)
-                free = want
-                while i < n:
-                    if starts[i] - free >= ser:
-                        break
-                    e = ends[i]
-                    if e > free:
-                        free = e
-                    i += 1
-                end = free + ser
-                queue = free - want
-                tl.stall_cycles += queue
-                if i > 0 and ends[i - 1] == free:
-                    if i < n and starts[i] == end:
-                        # Bridges the gap exactly: both neighbours fuse.
-                        ends[i - 1] = ends[i]
-                        del starts[i]
-                        del ends[i]
-                    else:
-                        ends[i - 1] = end
-                elif i < n and starts[i] == end:
-                    starts[i] = free
-                else:
-                    starts.insert(i, free)
-                    ends.insert(i, end)
-                if queue:
-                    stats.total_queue_cycles += queue
-                    if bus is not None:
-                        bus.emit(LinkStall(cycle=want, link=link_id,
-                                           stall=queue))
-                t = free + tail
-            flits += ser
-        stats.flit_hops += flits
-        stats.transfers += 1
-        return t
 
 
 class VectorizedMachineState(MachineState):
@@ -286,10 +172,17 @@ class VectorizedMachineState(MachineState):
     def travel_time(
         self, src: int, dst: int, start: int, payload: int, commit: bool
     ) -> int:
-        # The body of :meth:`VectorizedNetwork.transit` is fused in
-        # below (same loops, byte for byte): every travel of every
-        # access otherwise pays a second call frame that costs as much
-        # as the hop walk itself on small traces.
+        """Arrival cycle of ``src -> dst``: :meth:`Network.traverse`'s
+        timing, contention, statistics and events, with the per-hop
+        loops fused over the flat interval lists.
+
+        The fast path fires when no reservation on a link ends after
+        the wanted departure cycle: ``earliest_free`` is then the
+        identity and ``reserve`` an append/extend, with identical
+        counters (busy, stall, reservations, queue cycles, flit hops)
+        and identical events (a zero-cycle queue never emits a stall).
+        Pinned against ``traverse`` by a hypothesis property.
+        """
         if src == dst:
             return start
         link_ids = self._lids[src * self._nn + dst]
@@ -318,6 +211,11 @@ class VectorizedMachineState(MachineState):
                 if not ends or ends[-1] <= want:
                     t = want + tail
                     continue
+                # Inlined ResourceTimeline.earliest_free (gap-fill,
+                # span > 0, non-empty): skip intervals ending at or
+                # before `want`, then walk the remaining gaps.  Interval
+                # lists stay short (merges fuse neighbours), so a linear
+                # skip beats the bisect call except on long tails.
                 starts = lstarts[link_id]
                 n = len(starts)
                 if n < 8:
@@ -349,6 +247,7 @@ class VectorizedMachineState(MachineState):
             tl.reservations += 1
             tl.busy_cycles += ser
             if not ends or ends[-1] <= want:
+                # O(1) append/extend: the gap walk would land here anyway.
                 if ends and ends[-1] == want:
                     ends[-1] = want + ser
                 else:
@@ -356,6 +255,9 @@ class VectorizedMachineState(MachineState):
                     ends.append(want + ser)
                 t = want + tail
             else:
+                # Inlined ResourceTimeline.reserve (gap-fill, span > 0,
+                # non-empty): same single gap walk, then the same
+                # predecessor/successor merge on insertion.
                 starts = lstarts[link_id]
                 n = len(starts)
                 if n < 8:
@@ -377,6 +279,7 @@ class VectorizedMachineState(MachineState):
                 tl.stall_cycles += queue
                 if i > 0 and ends[i - 1] == free:
                     if i < n and starts[i] == end:
+                        # Bridges the gap exactly: both neighbours fuse.
                         ends[i - 1] = ends[i]
                         del starts[i]
                         del ends[i]
@@ -741,9 +644,8 @@ class VectorizedCandidateBuilder(CandidateBuilder):
             self._hol[key] = f
         return f
 
-    def build(
-        self, core: int, op, now: int
-    ) -> List[StationCandidate]:
+    def _operand_facts(self, op, now: int):
+        """Both operands' address facts and L2 residency at ``now``."""
         m = self.m
         x, y = op.addr, op.addr2
         amap = m.addr_info
@@ -753,20 +655,47 @@ class VectorizedCandidateBuilder(CandidateBuilder):
         iy = amap.get(y)
         if iy is None:
             iy = m.addr_fact(y)
+        x_l2 = self._l2_status_at(x, now, ix[0], ix[1])
+        y_l2 = self._l2_status_at(y, now, iy[0], iy[1])
+        return ix, iy, x_l2, y_l2
+
+    def build(
+        self, core: int, op, now: int
+    ) -> List[StationCandidate]:
+        ix, iy, x_l2, y_l2 = self._operand_facts(op, now)
         hx, hy = ix[0], iy[0]
-        x_l2 = self._l2_status_at(x, now, hx, ix[1])
-        y_l2 = self._l2_status_at(y, now, hy, iy[1])
-        out: List[StationCandidate] = []
-        out.extend(
-            self._network_candidate_v(
-                core, op, now, hx, hy, x_l2, y_l2, ix, iy
-            )
+        out = self._network_candidate_v(
+            core, op, now, hx, hy, x_l2, y_l2, ix, iy
         )
         out.append(self._l2_candidate(core, now, hx, hy, x_l2, y_l2))
         mc_cand, bank_cand = self._memory_candidates(core, op, now, x_l2, y_l2)
         out.append(mc_cand)
         out.append(bank_cand)
         return out
+
+    def any_ready(self, core: int, op, now: int) -> bool:
+        """``any(c.ready < NEVER for c in build(core, op, now))``, pricing
+        only the station that residency cannot settle.
+
+        The cache station is ready exactly when both operands are
+        L2-resident (or filling) at one home bank; the memory-side
+        stations exactly when both are in memory behind one controller
+        (the MC candidate is then ready; the bank candidate never is
+        unless the MC one is).  Those are residency facts, not timing.
+        Only the network station's readiness depends on when the two
+        responses meet, so it alone is priced, and only when neither
+        residency case holds.
+        """
+        ix, iy, x_l2, y_l2 = self._operand_facts(op, now)
+        if x_l2[0]:
+            if y_l2[0] and ix[0] == iy[0]:
+                return True
+        elif not y_l2[0] and ix[2] == iy[2]:
+            return True
+        net = self._network_candidate_v(
+            core, op, now, ix[0], iy[0], x_l2, y_l2, ix, iy
+        )
+        return bool(net) and net[0].ready < NEVER
 
     def _l2_status_at(
         self, addr: int, now: int, home: int, l2_line: int
@@ -1069,7 +998,6 @@ class VectorizedNdcExecutor(NdcExecutor):
         op,
         now: int,
         decision,
-        conv_completion: int,
     ) -> int:
         m = self.m
         cfg = m.cfg
@@ -1307,6 +1235,74 @@ class VectorizedNdcExecutor(NdcExecutor):
                 )
 
 
+class DemandComputeContext:
+    """A :class:`~repro.schemes.ComputeContext` that prices on demand.
+
+    ``op``, ``core``, ``now`` and the two L1 probes are plain slots.
+    ``conv_completion`` (both operand estimates) and ``candidates``
+    (the four station trials) are computed on first read and kept, so
+    a scheme that never reads them never pays for them.  Once the
+    simulator closes the context (its decision is about to commit),
+    reading a field that was never evaluated raises: pricing it then
+    would observe post-commit state.
+    """
+
+    __slots__ = (
+        "op", "core", "now", "l1_hit_x", "l1_hit_y",
+        "_sim", "_conv", "_cands",
+    )
+
+    def __init__(self, sim, op, core: int, now: int,
+                 l1_hit_x: bool, l1_hit_y: bool) -> None:
+        self.op = op
+        self.core = core
+        self.now = now
+        self.l1_hit_x = l1_hit_x
+        self.l1_hit_y = l1_hit_y
+        #: the simulator while the pure phase is open; None once closed
+        self._sim = sim
+        self._conv = None
+        self._cands = None
+
+    def _live(self):
+        sim = self._sim
+        if sim is None:
+            raise RuntimeError(
+                "compute context read after its decision was taken: "
+                "the pure phase is over"
+            )
+        return sim
+
+    @property
+    def conv_completion(self) -> int:
+        conv = self._conv
+        if conv is None:
+            estimate = self._live().access_path.estimate
+            op, core, now = self.op, self.core, self.now
+            est_x = estimate(core, op.addr, now, self.l1_hit_x)
+            est_y = estimate(core, op.addr2, now, self.l1_hit_y)
+            conv = self._conv = (est_x if est_x >= est_y else est_y) + 1
+        return conv
+
+    @property
+    def conv_cost(self) -> int:
+        return self.conv_completion - self.now
+
+    @property
+    def candidates(self) -> List[StationCandidate]:
+        cands = self._cands
+        if cands is None:
+            cands = self._cands = self._live().candidate_builder.build(
+                self.core, self.op, self.now
+            )
+        return cands
+
+
+#: the Fig. 1 LD/ST local probe's verdict, as a decision: an operand
+#: already in the core's L1 runs the compute on the core
+_LOCAL_HIT = Decision(False, skip_reason="local_hit")
+
+
 class VectorizedSimulator(SystemSimulator):
     """The fast engine: :class:`SystemSimulator` over the fused layers.
 
@@ -1326,64 +1322,75 @@ class VectorizedSimulator(SystemSimulator):
 
     # ------------------------------------------------------------------
     def _exec_compute(self, core: int, op, now: int) -> int:
+        """The reference compute flow with a demand-driven pure phase.
+
+        The reference engine prices both operand estimates and every
+        station candidate for every compute.  Here an L1-hit compute
+        under an NDC scheme (Fig. 1's LD/ST local probe) goes straight
+        to the core with nothing priced; every other compute hands the
+        scheme a :class:`DemandComputeContext`, so only what ``decide``
+        reads is priced, and ``opportunities_seen`` reuses the
+        candidates when ``decide`` built them, else asks the builder's
+        residency-first :meth:`~VectorizedCandidateBuilder.any_ready`.
+        The window profiler reads both fields, so it forces them.
+
+        Skipping or reordering the pure phase is exact because its only
+        state effect is the service tables' purge at ``now`` inside
+        ``hol_clearance``.  That purge is unobservable: entries leave a
+        capacity timeline only by purge (nothing calls ``update_end``
+        on a service table), heap pops are monotone, and every later
+        capacity query runs at a time >= ``now`` and purges the same
+        entries itself.  Every other pure query (link and port walks,
+        bank queues, cache probes) reads state without writing it.
+        Reserve-phase travel queries repeated with identical arguments
+        inside this one compute are memoized; the memo lives through
+        ``decide`` and dies before any commit.
+        """
         m = self.machine
-        # The estimate/candidate phase is purely observational (nothing
-        # is claimed until the decision executes), so reserve-phase
-        # travel queries repeated with identical arguments inside this
-        # one compute are memoized; the memo dies before any commit.
-        m._pure_memo = {}
-        try:
-            m.stats.computes += 1
-            l1 = m.l1[core]
-            l1_hit_x = l1.probe(op.addr)
-            l1_hit_y = l1.probe(op.addr2)
+        m.stats.computes += 1
+        l1 = m.l1[core]
+        l1_hit_x = l1.probe(op.addr)
+        l1_hit_y = l1.probe(op.addr2)
+        local_hit = (l1_hit_x or l1_hit_y) and not self._scheme_is_nondc
 
-            ap = self.access_path
-            est_x = ap.estimate(core, op.addr, now, l1_hit_x)
-            est_y = ap.estimate(core, op.addr2, now, l1_hit_y)
-            conv_completion = (est_x if est_x >= est_y else est_y) + 1
-
-            candidates = self.candidate_builder.build(core, op, now)
-            if self.profile_windows:
-                self.profiler.record(
-                    op, conv_completion - now, now, candidates
-                )
-        finally:
-            m._pure_memo = None
-
-        if (l1_hit_x or l1_hit_y) and not self._scheme_is_nondc:
-            m.stats.ndc.skipped_local_hit += 1
-            m.stats.ndc.conventional += 1
-            return self._exec_conventional(core, op, now)
-
-        ctx = ComputeContext(
-            op=op,
-            core=core,
-            now=now,
-            conv_completion=conv_completion,
-            candidates=candidates,
-            l1_hit_x=l1_hit_x,
-            l1_hit_y=l1_hit_y,
-        )
-        if any(c.ready < NEVER for c in candidates):
-            m.stats.opportunities_seen += 1
-        decision = self.scheme.decide(ctx)
+        if local_hit and not self.profile_windows:
+            decision = _LOCAL_HIT
+        else:
+            ctx = DemandComputeContext(
+                self, op, core, now, l1_hit_x, l1_hit_y
+            )
+            m._pure_memo = {}
+            try:
+                if self.profile_windows:
+                    self.profiler.record(
+                        op, ctx.conv_cost, now, ctx.candidates
+                    )
+                if local_hit:
+                    decision = _LOCAL_HIT
+                else:
+                    decision = self.scheme.decide(ctx)
+                    cands = ctx._cands
+                    if cands is not None:
+                        seen = any(c.ready < NEVER for c in cands)
+                    else:
+                        seen = self.candidate_builder.any_ready(core, op, now)
+                    if seen:
+                        m.stats.opportunities_seen += 1
+            finally:
+                m._pure_memo = None
+                ctx._sim = None
 
         if decision.offload and decision.station is not None:
-            completion = self.ndc_executor.exec_ndc(
-                core, op, now, decision, conv_completion
-            )
-        else:
-            reason = decision.skip_reason
-            if reason == "local_hit":
-                m.stats.ndc.skipped_local_hit += 1
-            elif reason == "policy":
-                m.stats.ndc.skipped_policy += 1
-            elif reason == "no_station":
-                m.stats.ndc.skipped_no_station += 1
-            m.stats.ndc.conventional += 1
-            completion = self._exec_conventional(core, op, now)
-        return completion
+            return self.ndc_executor.exec_ndc(core, op, now, decision)
+        reason = decision.skip_reason
+        if reason == "local_hit":
+            m.stats.ndc.skipped_local_hit += 1
+        elif reason == "policy":
+            m.stats.ndc.skipped_policy += 1
+        elif reason == "no_station":
+            m.stats.ndc.skipped_no_station += 1
+        m.stats.ndc.conventional += 1
+        return self._exec_conventional(core, op, now)
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> SimulationResult:

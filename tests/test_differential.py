@@ -12,10 +12,14 @@ guarantee:
   sparse/mixed families;
 * the golden headline geomeans are byte-identical on the reference
   engine (the regular golden test pins the fast default);
+* every distinct scheme in :data:`~repro.schemes.SCHEMES` beyond the
+  Fig. 4 cast (each reads the compute context differently, which the
+  fast engine prices on demand) is cycle-exact too, run through
+  :func:`~repro.runtime.parallel.execute_job` so ``prepare`` runs;
 * hypothesis properties pin the memoized tables to their closed forms
   (``RouteTable`` == ``xy_route``, ``serialization_table`` == the
-  ceil-division formula) and the fast network's ``transit`` to the
-  reference network's ``traverse``;
+  ceil-division formula) and the fast machine's fused
+  ``travel_time`` to the reference network's ``traverse``;
 * with an :class:`~repro.arch.events.EventBus` attached, both engines
   publish the **identical event stream** — the lazy fast path cannot
   silently drop events;
@@ -44,7 +48,7 @@ from repro.arch import (
 )
 from repro.arch.events import EventBus
 from repro.arch.noc import Network
-from repro.arch.vectorized import VectorizedNetwork
+from repro.arch.vectorized import VectorizedMachineState
 from repro.arch.routing import (
     RouteTable,
     route_table_for,
@@ -123,6 +127,40 @@ class TestLineupEquivalence:
             assert got[label] == ref[label], (
                 f"{profile} divergence on {bench_name}/{label}"
             )
+
+    @pytest.mark.parametrize("bench_name", ["fft", "spmv.csr"])
+    def test_every_registered_scheme_identical(self, bench_name):
+        """The registry's schemes outside the Fig. 4 cast (markov-wait,
+        coda, nmpo, the original baseline) on both engines, through
+        the runtime seam so nmpo's warm-up ``prepare`` runs."""
+        from repro.runtime.keys import JobKey, config_digest
+        from repro.runtime.parallel import execute_job
+
+        def identity(variant, factory):
+            return variant, factory(None).spec()
+
+        covered = {
+            identity(*S.SCHEMES[e.label]) for e in S.fig4_lineup(None)
+        }
+        extra = {}
+        for label, (variant, factory) in S.SCHEMES.items():
+            key = identity(variant, factory)
+            if key not in covered:
+                extra.setdefault(key, label)
+        assert set(extra.values()) >= {
+            "markov-wait", "coda", "nmpo", "original",
+        }
+        digest = config_digest(DEFAULT_CONFIG)
+        for (variant, spec), label in extra.items():
+            key = JobKey(
+                bench=bench_name, variant=variant, scheme_spec=spec,
+                label=label, scale=SCALE, config_digest=digest,
+            )
+            ref, fast = (
+                execute_job(DEFAULT_CONFIG, key, engine_profile=profile)
+                for profile in (REFERENCE, FAST)
+            )
+            assert fast == ref, f"fast-engine divergence on {label}"
 
     def test_profile_with_instrumentation_identical(self):
         """Collection knobs (pc stats, windows) divert nothing either."""
@@ -285,7 +323,7 @@ def test_serialization_table_equals_formula(payload, width):
 
 
 # ======================================================================
-# VectorizedNetwork.transit == Network.traverse (hypothesis)
+# VectorizedMachineState.travel_time == Network.traverse (hypothesis)
 # ======================================================================
 @given(
     transfers=st.lists(
@@ -306,7 +344,8 @@ def test_transit_matches_traverse(transfers):
     mesh = mesh_for(cfg.noc.width, cfg.noc.height)
     table = route_table_for(mesh)
     net_a = Network(mesh, cfg.noc)
-    net_b = VectorizedNetwork(mesh, cfg.noc)
+    machine = VectorizedMachineState(cfg)
+    net_b = machine.network
     for src, dst, start, payload, commit in transfers:
         if src == dst:
             continue
@@ -315,7 +354,7 @@ def test_transit_matches_traverse(transfers):
         got_a = net_a.traverse(
             route, start, payload, commit=commit, link_ids=link_ids
         ).completion
-        got_b = net_b.transit(link_ids, start, payload, commit=commit)
+        got_b = machine.travel_time(src, dst, start, payload, commit)
         assert got_a == got_b
     assert net_a.stats.transfers == net_b.stats.transfers
     assert net_a.stats.flit_hops == net_b.stats.flit_hops
