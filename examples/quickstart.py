@@ -97,7 +97,7 @@ def main() -> None:
     #    Every verb takes the same perf knobs (never affect results):
     #        profile="optimized" | "vectorized" (one fast engine, two
     #                names) | "reference" (the oracle)
-    #        backend="batch" | "per-unit"
+    #        cache=True | False (the persistent result cache)
     from repro import api, quick_compare
 
     res = api.simulate("fft", "algorithm-1", scale=0.1, cache=False)

@@ -29,17 +29,18 @@ served out their window) — import from
 
 Every verb accepts the same runtime-control keywords: ``options`` (a
 :class:`~repro.runtime.RuntimeOptions`) for full control — jobs,
-cache, timeouts, engine, executor backend — with the per-call
-conveniences ``profile=`` (an engine name), ``backend=`` (``"batch"``
-or ``"per-unit"`` simulation execution), and ``cache=`` layered on top.
+cache, timeouts, engine — with the per-call conveniences ``profile=``
+(an engine name), ``backend=`` and ``cache=`` layered on top.  There
+is one executor, so ``backend=`` selects nothing: it accepts only
+``"batch"``, kept so existing callers keep working.
 There are two engines: ``"reference"`` (the frozen oracle) and the
 fast engine, which answers to both ``"optimized"`` (the default) and
 ``"vectorized"``.  Both fast names stay because stored identities
 spell them — the default campaign id and every default sweep
 ``unit_id`` digest ``"optimized"``, and the repository benchmark
-passes ``"vectorized"``.  Engines and backends are *performance knobs
-only*: results are pinned identical across all of them, and none
-ever forks the runtime's
+passes ``"vectorized"``.  Engines are *performance knobs only*: results
+are pinned identical across them, and neither ever forks the
+runtime's
 :class:`~repro.runtime.keys.JobKey` cache keys — a result computed
 through the facade is a warm cache hit for the CLI, a campaign, or the
 tuner, and vice versa.
@@ -79,8 +80,9 @@ __all__ = [
     "tune",
 ]
 
-#: Valid values of every verb's ``backend=`` keyword.
-BACKENDS = ("batch", "per-unit")
+#: Valid values of every verb's ``backend=`` keyword.  Vestigial: the
+#: one value selects the one executor.
+BACKENDS = ("batch",)
 
 
 def _schemes(
@@ -123,15 +125,11 @@ def _options(
         )
     if profile is not None and profile != options.engine_profile:
         options = dataclasses.replace(options, engine_profile=profile)
-    if backend is not None:
-        if backend not in BACKENDS:
-            valid = ", ".join(repr(b) for b in BACKENDS)
-            raise ValueError(
-                f"unknown backend {backend!r} (valid backends: {valid})"
-            )
-        batch = backend == "batch"
-        if batch != options.batch:
-            options = dataclasses.replace(options, batch=batch)
+    if backend is not None and backend not in BACKENDS:
+        valid = ", ".join(repr(b) for b in BACKENDS)
+        raise ValueError(
+            f"unknown backend {backend!r} (valid backends: {valid})"
+        )
     return options
 
 
@@ -517,9 +515,8 @@ def bench(
 
     ``profile``/``backend``/``options``/``cache`` are accepted for
     the facade's uniform-keyword contract and validated, but the
-    microbenchmarks deliberately measure both engines and both
-    executor backends regardless: the report's value is exactly the
-    cross-engine comparison.
+    microbenchmarks deliberately measure both engines regardless: the
+    report's value is exactly the cross-engine comparison.
     """
     import json
 

@@ -137,9 +137,9 @@ class TracePrepass:
         self.windows = work_windows(trace)
 
 
-#: identity-keyed pre-pass cache: within one batch every scheme of a
-#: lineup replays the *same* trace object (the batch executor's trace
-#: LRU guarantees identity), so the pre-pass runs once per unique
+#: identity-keyed pre-pass cache: every scheme of a lineup replays the
+#: *same* trace object (tracegen's trace cache hands each caller of one
+#: key the same object), so the pre-pass runs once per unique
 #: (trace, cfg) instead of once per simulation.
 _CACHE_CAP = 8
 _cache: Dict[Tuple[int, int], Tuple[Trace, ArchConfig, TracePrepass]] = {}
@@ -148,9 +148,9 @@ _cache: Dict[Tuple[int, int], Tuple[Trace, ArchConfig, TracePrepass]] = {}
 def prepass_for(trace: Trace, cfg: ArchConfig, mesh: Mesh) -> TracePrepass:
     """Compute (or reuse) the pre-pass for ``trace`` under ``cfg``.
 
-    Keyed by object identity — cheap, and exactly right for the batch
-    executor's amortization; the entries pin their trace/cfg objects
-    alive so ids cannot be recycled under us.
+    Keyed by object identity — cheap, and exactly right for traces
+    shared through tracegen's cache; the entries pin their trace/cfg
+    objects alive so ids cannot be recycled under us.
     """
     key = (id(trace), id(cfg))
     hit = _cache.get(key)

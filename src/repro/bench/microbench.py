@@ -12,10 +12,10 @@ Three tiers, cheapest first:
   ``speedup`` ratio (reference ÷ fast) on this tier is a
   regression-gate metric;
 * **lineup** — the whole Fig. 4 scheme lineup on one benchmark through
-  the *executor path* (what a sweep iteration actually costs): per-unit
-  :func:`~repro.runtime.parallel.execute_job` — trace generation
-  included — on the reference engine, and the batch executor
-  (:mod:`repro.runtime.batch`) on the fast engine.  The
+  the *executor path* (what a sweep iteration actually costs):
+  :func:`~repro.runtime.parallel.execute_job` per scheme, trace
+  generation included — cold per job on the reference engine, shared
+  through tracegen's trace cache on the fast engine.  The
   ``vectorized_speedup`` ratio (reference ÷ fast) here is the second
   gate metric.
 
@@ -37,12 +37,12 @@ import time
 from typing import Callable, Dict, List, Tuple
 
 BASELINE_FILENAME = "BENCH_engine.json"
-#: v2: the lineup tier measures the executor path (per-unit vs batch)
-#: instead of bare pre-built-trace simulation loops, and both whole-sim
-#: tiers grew ``vectorized_*`` columns; schema-1 baselines gate only on
-#: the metrics they carry.  The ``optimized_*`` columns left with the
-#: third engine; the gated keys kept their names and now read
-#: reference ÷ fast.
+#: v2: the lineup tier measures the executor path (cold vs shared
+#: traces) instead of bare pre-built-trace simulation loops, and both
+#: whole-sim tiers grew ``vectorized_*`` columns; schema-1 baselines
+#: gate only on the metrics they carry.  The ``optimized_*`` columns
+#: left with the third engine; the gated keys kept their names and now
+#: read reference ÷ fast.
 SCHEMA = 2
 
 #: the regression-gate metrics inside the report (section, metric);
@@ -203,18 +203,17 @@ def _lineup_tier(
 ) -> Dict[str, object]:
     """Executor-path lineup throughput, reference vs fast.
 
-    The reference engine runs the per-unit execution core (one
-    ``execute_job`` per scheme, trace generation included per job —
-    exactly what a cold per-unit sweep scattered over pool workers
-    pays); the fast engine runs the batch executor over the same keys
-    with a cold trace LRU per repeat, amortizing generation across the
-    chunk.  Both produce pinned-identical results; the ratio measures
-    the full executor paths against each other.
+    Both engines run one ``execute_job`` per scheme.  The reference
+    engine regenerates the trace for every job — exactly what a cold
+    sweep scattered over fresh pool workers pays; the fast engine
+    starts each repeat from a cold trace cache and then shares each
+    trace across the lineup, as a serial run does.  Both produce
+    pinned-identical results; the ratio measures the full executor
+    paths against each other.
     """
     from repro import schemes as S
     from repro.arch import REFERENCE, VECTORIZED
     from repro.config import DEFAULT_CONFIG
-    from repro.runtime import batch as batch_mod
     from repro.runtime.keys import JobKey, config_digest
     from repro.runtime.parallel import execute_job
     from repro.workloads import tracegen
@@ -229,26 +228,21 @@ def _lineup_tier(
             label=scheme.name, scale=scale, config_digest=digest,
         ))
 
-    def per_unit() -> None:
+    def cold() -> None:
         # Cold executor path: every job regenerates its trace, as a
-        # per-unit sweep scattered across fresh pool workers pays it —
-        # each job lands on a worker whose trace LRU has not seen this
-        # variant.  (Amortizing exactly this duplication is the batch
-        # executor's reason to exist, so the per-unit side must not
-        # ride a warm LRU here.)
+        # sweep scattered across fresh pool workers pays it — each job
+        # lands on a worker whose trace cache has not seen this
+        # variant.
         for key in keys:
             tracegen.clear_cache()
             execute_job(cfg, key, engine_profile=REFERENCE)
 
-    def batched() -> None:
+    def shared() -> None:
         tracegen.clear_cache()
-        batch_mod.clear_trace_cache()
-        for _ in batch_mod.execute_batch(
-            cfg, keys, engine_profile=VECTORIZED
-        ):
-            pass
+        for key in keys:
+            execute_job(cfg, key, engine_profile=VECTORIZED)
 
-    ref, vec = _interleaved_best([per_unit, batched], repeats)
+    ref, vec = _interleaved_best([cold, shared], repeats)
     return {
         "benchmark": benchmark,
         "scale": scale,
@@ -321,7 +315,7 @@ def render_report(report: Dict[str, object]) -> str:
         f"  lineup      ({lineup['benchmark']} x{lineup['schemes']} "
         f"schemes @ {lineup['scale']}, executor path): "
         f"{lineup['reference_s']:.3f}s ref / "
-        f"{lineup['vectorized_s']:.3f}s fast batch "
+        f"{lineup['vectorized_s']:.3f}s fast "
         f"-> {lineup['vectorized_speedup']:.2f}x",
     ]
     return "\n".join(lines)

@@ -19,8 +19,9 @@ one cache namespace.  What the campaign layer adds:
   under a heartbeat lease, so a killed or hung worker's units return
   to the queue and each completion is journaled exactly once;
 * **chunked** execution bounding how much work an interruption can
-  lose (a small trace-amortized chunk when serial — see
-  :mod:`repro.runtime.batch` — twice the worker count when pooled);
+  lose (eight units when serial, twice the worker count when pooled;
+  every chunk's units share one trace per benchmark and variant
+  through the runtime's one trace source, :mod:`repro.runtime.batch`);
 * per-unit **failure isolation** with capped exponential-backoff
   retries — one diverging simulation fails its unit, not the campaign;
 * a deterministic **summary** (``summary.json`` / ``report.txt``):
@@ -37,7 +38,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.analysis.characterize import characterize_result, class_winners
 from repro.analysis.metrics import geomean_improvement
@@ -55,7 +56,7 @@ from repro.campaign.queue import (
 )
 from repro.campaign.spec import BASELINE_LABEL, SweepSpec, SweepUnit
 from repro.config import DEFAULT_CONFIG, ArchConfig
-from repro.runtime import ParallelRunner, RunnerStats, RuntimeOptions
+from repro.runtime import JobKey, ParallelRunner, RunnerStats, RuntimeOptions
 from repro.runtime.backoff import backoff_delay
 
 SPEC_NAME = "spec.json"
@@ -215,11 +216,11 @@ class CampaignRunner:
         if self.chunk_size is not None:
             return max(1, int(self.chunk_size))
         if not self.options.parallel:
-            # Serial campaigns historically chunked at 1 to minimize the
-            # interruption window; with the batch executor on, a small
-            # chunk lets each trace be generated once per chunk instead
-            # of once per unit, at a bounded journaling granularity.
-            return 8 if self.options.batch else 1
+            # A small serial chunk bounds how much an interruption can
+            # lose while claiming several units per queue round trip;
+            # traces are shared process-wide (tracegen's cache)
+            # whatever the chunk size.
+            return 8
         return max(1, 2 * self.options.effective_jobs)
 
     def _backoff(self, attempt: int) -> float:
@@ -293,33 +294,21 @@ class CampaignRunner:
         session: Optional[int],
         record: bool,
     ) -> None:
-        """One chunk: batched fan-out, then per-unit fallback on error."""
+        """One chunk, grouped per engine; journal each unit's outcome."""
         groups: Dict[tuple, List[SweepUnit]] = {}
         for unit in batch:
             groups.setdefault((unit.mesh, unit.engine_profile), []).append(unit)
         for units in groups.values():
             engine = self.engine_for(units[0])
             keys = [u.job_key(self.base_cfg) for u in units]
-            t0 = len(self.stats.job_times)
-            try:
-                batch_out = engine.run_many(keys)
-            except Exception:
-                # run_many aborts the chunk on the first in-process
-                # error; rerun unit-by-unit so one diverging simulation
-                # fails one unit, not its chunk-mates.
-                batch_out = None
-            walls = dict(self.stats.job_times[t0:])
-            for unit, key in zip(units, keys):
+            outcomes = self._resolve_chunk(engine, keys)
+            for unit, (key, result, wall) in zip(units, outcomes):
                 attempts[unit.unit_id] = attempts.get(unit.unit_id, 0) + 1
-                try:
-                    if batch_out is not None:
-                        result = batch_out[key]
-                    else:
-                        result = engine.run(key)
-                except Exception as exc:  # journal + queue for retry
+                if isinstance(result, Exception):  # journal + retry
                     if record:
                         self.manifest.record_failed(
-                            unit.unit_id, f"{type(exc).__name__}: {exc}",
+                            unit.unit_id,
+                            f"{type(result).__name__}: {result}",
                             attempts[unit.unit_id], session or 0,
                         )
                     failed.append(unit)
@@ -327,10 +316,44 @@ class CampaignRunner:
                 results[unit.unit_id] = result
                 if record:
                     self.manifest.record_done(
-                        unit.unit_id, key.cache_digest(),
-                        walls.get(key.describe(), 0.0),
+                        unit.unit_id, key.cache_digest(), wall,
                         attempts[unit.unit_id], session or 0,
                     )
+
+    def _resolve_chunk(
+        self,
+        engine: ParallelRunner,
+        keys: Sequence[JobKey],
+        tick: Optional[Callable[[], None]] = None,
+    ) -> Iterator[tuple]:
+        """Resolve one chunk of keys; yield ``(key, outcome, wall)``
+        in order.
+
+        ``run_many`` runs the chunk first.  It aborts on the first
+        in-process error, so then every key is resolved again one by
+        one (finished ones are memory hits), and one diverging
+        simulation fails one unit, not its chunk-mates.  ``outcome``
+        is the result, or the exception for a failed unit.  ``wall``
+        is the unit's simulated seconds (0.0 for a cache hit); it is
+        read after the unit resolves, so a unit that only ran in the
+        rerun still reports its own time.  ``tick`` runs before each
+        unit resolves (lease heartbeats).
+        """
+        start = len(self.stats.job_times)
+        try:
+            out = engine.run_many(keys)
+        except Exception:
+            out = None
+        for key in keys:
+            if tick is not None:
+                tick()
+            try:
+                result = out[key] if out is not None else engine.run(key)
+            except Exception as exc:
+                yield key, exc, 0.0
+                continue
+            walls = dict(self.stats.job_times[start:])
+            yield key, result, walls.get(key.describe(), 0.0)
 
     # ------------------------------------------------------------------
     # queue-based execution (every on-disk campaign)
@@ -409,23 +432,13 @@ class CampaignRunner:
             keys = [u.job_key(self.base_cfg) for _, u in members]
             ours = [cu.unit_id for cu, _ in members]
             queue.heartbeat(ours, lease=lease)
-            t0 = len(self.stats.job_times)
-            try:
-                batch_out = engine.run_many(keys)
-            except Exception:
-                # Rerun unit-by-unit so one diverging simulation fails
-                # one unit, not its chunk-mates.
-                batch_out = None
-            walls = dict(self.stats.job_times[t0:])
-            for (cu, unit), key in zip(members, keys):
-                queue.heartbeat(ours, lease=lease)
-                try:
-                    if batch_out is not None:
-                        result = batch_out[key]
-                    else:
-                        result = engine.run(key)
-                except Exception as exc:
-                    msg = f"{type(exc).__name__}: {exc}"
+            outcomes = self._resolve_chunk(
+                engine, keys,
+                tick=lambda: queue.heartbeat(ours, lease=lease),
+            )
+            for (cu, _), (key, result, wall) in zip(members, outcomes):
+                if isinstance(result, Exception):
+                    msg = f"{type(result).__name__}: {result}"
                     if remote:
                         queue.fail(
                             cu.unit_id, msg,
@@ -448,17 +461,15 @@ class CampaignRunner:
                     # unit whose result bytes it does not hold.
                     queue.ship_result(key.cache_digest(), result)
                     committed = queue.complete(
-                        cu.unit_id, key.cache_digest(),
-                        wall=walls.get(key.describe(), 0.0),
+                        cu.unit_id, key.cache_digest(), wall=wall,
                         attempt=cu.attempt, session=session,
                     )
                 else:
                     committed = queue.complete(
                         cu.unit_id, key.cache_digest(),
                         journal=lambda: self.manifest.record_done(
-                            cu.unit_id, key.cache_digest(),
-                            walls.get(key.describe(), 0.0), cu.attempt,
-                            session
+                            cu.unit_id, key.cache_digest(), wall,
+                            cu.attempt, session
                         ),
                     )
                 if committed:

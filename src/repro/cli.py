@@ -60,7 +60,6 @@ RUNTIME_FLAGS = (
     "--timeout",
     "--trace-events",
     "--engine-profile",
-    "--no-batch",
     "--tunables",
 )
 
@@ -99,7 +98,6 @@ def _runtime_options(args: argparse.Namespace):
         timeout=args.timeout,
         trace_events=getattr(args, "trace_events", None),
         engine_profile=getattr(args, "engine_profile", OPTIMIZED),
-        batch=not getattr(args, "no_batch", False),
     )
 
 
@@ -142,11 +140,6 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
              "engine, named 'optimized' or 'vectorized' (perf knob only; "
              "both engines are pinned cycle-identical and share cache "
              "keys)",
-    )
-    p.add_argument(
-        "--no-batch", action="store_true", dest="no_batch",
-        help="disable the batch simulation executor (strictly per-unit "
-             "execution; results are pinned byte-identical either way)",
     )
 
 

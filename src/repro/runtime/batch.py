@@ -1,107 +1,31 @@
-"""Batch-of-simulations executor: amortize per-job setup across a chunk.
+"""The runtime's one trace source: a job's compiled trace.
 
-The per-unit execution core (:func:`repro.runtime.parallel.execute_job`)
-re-generates the instruction trace for every job, even though a lineup
-or a sweep chunk replays the *same* benchmark/variant/scale under many
-schemes.  The batch executor runs a whole chunk of
-:class:`~repro.runtime.keys.JobKey` jobs in one call and shares
-everything that is pure per trace signature:
-
-* **trace generation** — one process-wide LRU keyed by the full trace
-  signature (benchmark, variant, scale, config, tunables, pass
-  options).  Beyond skipping regeneration, the LRU guarantees *object
-  identity* of the trace across the chunk, which is what makes the
-  fast engine's identity-keyed pre-pass cache
-  (:mod:`repro.arch.prepass`) hit: address maps and contention-free
-  windows are computed once per trace, not once per simulation;
-* **route tables and serialization memos** — already process-wide
-  (:mod:`repro.arch.routing`); a batch touches each exactly once and
-  every subsequent job rides the warm entries.
-
-Results are byte-identical to per-unit execution — ``execute_batch``
-calls the same :func:`execute_job` core, just with the trace handed in
-— pinned by ``tests/test_batch.py`` and the campaign byte-identity
-test.  Faults inside a pooled batch degrade to per-unit execution (the
-:class:`~repro.runtime.parallel.ParallelRunner` side); this module
-itself stays fault-agnostic and deterministic.
+Every job a runner executes gets its trace from
+:func:`cached_compiled_trace`, which maps the job's
+:class:`~repro.runtime.keys.JobKey` onto
+:func:`repro.workloads.tracegen.compiled_trace`.  That function keeps
+the process-wide trace cache, keyed by everything that determines a
+trace (benchmark, variant, scale, the full config, tunables and pass
+options).  A lineup or a sweep chunk replays the *same* trace under
+many schemes, so every job after the first one per (benchmark,
+variant) is a cache hit that returns the same trace *object*.  That
+object identity is what makes the fast engine's identity-keyed
+pre-pass cache (:mod:`repro.arch.prepass`) hit: address maps and
+contention-free windows are computed once per trace, not once per
+simulation.
 """
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict
-from typing import Iterator, List, Sequence, Tuple
-
-from repro.arch import OPTIMIZED
-from repro.arch.simulator import SimulationResult
 from repro.config import ArchConfig
 from repro.runtime.keys import JobKey
 from repro.workloads.tracegen import compiled_trace
 
-#: trace signature -> (trace, pass report); a handful of signatures is
-#: plenty (a lineup has one, a sweep chunk a few), and entries pin the
-#: trace objects the pre-pass cache keys by identity
-_TRACE_LRU_CAP = 32
-_trace_lru: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-
-def trace_signature(cfg: ArchConfig, key: JobKey) -> tuple:
-    """The part of a job's identity that determines its trace."""
-    return (key.bench, key.variant, key.scale, cfg, key.tunables,
-            key.trace_opts)
-
 
 def cached_compiled_trace(cfg: ArchConfig, key: JobKey):
-    """``compiled_trace`` through the process-wide signature LRU.
-
-    Returns the same ``(trace, report)`` pair; jobs that share a trace
-    signature share the trace *object*.
-    """
-    sig = trace_signature(cfg, key)
-    hit = _trace_lru.get(sig)
-    if hit is not None:
-        _trace_lru.move_to_end(sig)
-        return hit
-    built = compiled_trace(
+    """``(trace, pass report)`` for ``key`` under ``cfg``; jobs with
+    the same trace inputs share the trace object."""
+    return compiled_trace(
         key.bench, key.variant, key.scale, cfg,
         tunables=key.tunables, **dict(key.trace_opts)
     )
-    _trace_lru[sig] = built
-    if len(_trace_lru) > _TRACE_LRU_CAP:
-        _trace_lru.popitem(last=False)
-    return built
-
-
-def clear_trace_cache() -> None:
-    """Drop the trace LRU (tests; long-lived workers between campaigns)."""
-    _trace_lru.clear()
-
-
-def execute_batch(
-    cfg: ArchConfig,
-    keys: Sequence[JobKey],
-    engine_profile: str = OPTIMIZED,
-) -> Iterator[Tuple[JobKey, SimulationResult, float]]:
-    """Execute ``keys`` in order, yielding ``(key, result, seconds)``.
-
-    Lazy by design: the serial path consumes it incrementally, so a
-    mid-batch fault leaves every already-yielded result committed and
-    only the remainder falls back to per-unit execution.
-    """
-    from repro.runtime.parallel import execute_job
-
-    for key in keys:
-        t0 = time.perf_counter()
-        trace, _ = cached_compiled_trace(cfg, key)
-        result = execute_job(
-            cfg, key, engine_profile=engine_profile, trace=trace
-        )
-        yield key, result, time.perf_counter() - t0
-
-
-def _pool_batch_worker(
-    payload: Tuple[ArchConfig, Sequence[JobKey], str],
-) -> List[Tuple[JobKey, SimulationResult, float]]:
-    """Top-level (picklable) pool entry: one whole chunk per worker."""
-    cfg, keys, engine_profile = payload
-    return list(execute_batch(cfg, keys, engine_profile=engine_profile))

@@ -6,7 +6,7 @@ jobs with three layers of reuse and a deterministic execution core:
 1. an in-memory result table (same-object hits within one process),
 2. the persistent content-addressed cache (:mod:`repro.runtime.cache`),
 3. actual execution — in-process for single jobs, or fanned out over a
-   ``concurrent.futures.ProcessPoolExecutor`` for batches.
+   ``concurrent.futures.ProcessPoolExecutor`` for many jobs.
 
 Because every job is an *independent* simulation (the simulator carries
 no cross-run state and uses no global RNG), serial, parallel, and
@@ -18,7 +18,7 @@ Failure handling:
 * a worker crash (``BrokenProcessPool``) retries the remaining jobs
   once on a fresh pool, then degrades to serial in-process execution;
 * a per-job timeout or an in-worker exception falls back to serial
-  in-process execution of that job (the batch always completes);
+  in-process execution of that job (``run_many`` always completes);
 * ``jobs=1`` (the default) never creates a pool at all.
 """
 
@@ -36,11 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.arch import OPTIMIZED, engine_class
 from repro.arch.simulator import SimulationResult
 from repro.config import ArchConfig
+from repro.runtime import batch
 from repro.runtime.backoff import backoff_delay
 from repro.runtime.cache import NullCache, ResultCache
 from repro.runtime.keys import JobKey
 from repro.schemes import scheme_from_spec
-from repro.workloads.tracegen import compiled_trace
 
 #: Pause before rebuilding a crashed process pool (capped exponential,
 #: shared schedule with the campaign runner and remote claim client —
@@ -71,13 +71,17 @@ class RuntimeOptions:
     #: engines are pinned cycle-identical by the differential harness,
     #: so the name deliberately does NOT enter :class:`JobKey` keys.
     engine_profile: str = OPTIMIZED
-    #: amortize trace generation and warm caches across a chunk of jobs
-    #: (:mod:`repro.runtime.batch`); ``--no-batch`` restores strictly
-    #: per-unit execution.  Results are pinned byte-identical either way.
+    #: vestigial: there is one executor, so this selects nothing; only
+    #: ``True`` is accepted, so callers that pass it keep working.
     batch: bool = True
 
     def __post_init__(self) -> None:
         engine_class(self.engine_profile)  # raises on unknown names
+        if not self.batch:
+            raise ValueError(
+                "batch=False is not supported: the batch executor it "
+                "turned off was removed, and one executor remains"
+            )
 
     @property
     def effective_jobs(self) -> int:
@@ -176,27 +180,21 @@ def execute_job(
     scheme=None,
     event_bus=None,
     engine_profile: str = OPTIMIZED,
-    trace=None,
 ) -> SimulationResult:
     """Compile, lower, and simulate one job.  Pure and deterministic:
     the result depends only on ``(cfg, key)``; an attached ``event_bus``
     observes the run without changing it, and ``engine_profile`` names
-    an engine whose results are pinned identical.  ``trace``
-    optionally supplies the already-compiled trace for this key (the
-    batch executor's amortization); it must equal what
-    ``compiled_trace`` would produce."""
+    an engine whose results are pinned identical.  The trace comes
+    from the one trace source, :mod:`repro.runtime.batch`, so jobs
+    that share a trace share the trace object."""
     if scheme is None and key.scheme_spec is not None:
         scheme = scheme_from_spec(key.scheme_spec)
-    if trace is None:
-        trace, _ = compiled_trace(
-            key.bench, key.variant, key.scale, cfg,
-            tunables=key.tunables, **dict(key.trace_opts)
-        )
+    trace, _ = batch.cached_compiled_trace(cfg, key)
     if scheme is not None:
         # Pre-run hook (profile-guided schemes run their warm-up here).
-        # Sitting on this seam covers every execution path — serial,
-        # pool worker, and batch — so preparation can never fork
-        # serial/parallel/batch determinism.
+        # Sitting on this seam covers both execution paths — serial
+        # and pool worker — so preparation can never fork serial/
+        # parallel determinism.
         scheme.prepare(cfg, trace)
     sim = engine_class(engine_profile)(
         cfg,
@@ -341,13 +339,6 @@ class ParallelRunner:
         if not misses:
             return out
         if not self.options.parallel or len(misses) == 1:
-            if (
-                self.options.batch
-                and len(misses) > 1
-                and self.trace_writer is None
-            ):
-                out.update(self._execute_serial_batch(misses))
-                return out
             total = len(misses)
             for i, k in enumerate(misses):
                 out[k] = self._execute_serial(k)
@@ -358,125 +349,7 @@ class ParallelRunner:
         return out
 
     # ------------------------------------------------------------------
-    def _execute_serial_batch(
-        self, misses: List[JobKey]
-    ) -> Dict[JobKey, SimulationResult]:
-        """In-process batch execution with per-unit fault fallback.
-
-        Consumes :func:`repro.runtime.batch.execute_batch` lazily; a
-        mid-batch fault keeps every already-committed result and
-        finishes the remainder per-unit (where a genuine job error
-        surfaces with its usable traceback).
-        """
-        from repro.runtime import batch as batch_mod
-
-        out: Dict[JobKey, SimulationResult] = {}
-        total = len(misses)
-        try:
-            for key, result, dt in batch_mod.execute_batch(
-                self.cfg, misses,
-                engine_profile=self.options.engine_profile,
-            ):
-                self.stats.executed_serial += 1
-                self.stats.job_times.append((key.describe(), dt))
-                self._commit(key, result)
-                out[key] = result
-                self._progress(len(out), total, key, dt, "batch")
-        except Exception:
-            self.stats.worker_failures += 1
-            for key in misses:
-                if key not in out:
-                    out[key] = self._execute_serial(key)
-                    self._progress(len(out), total, key,
-                                   self.stats.job_times[-1][1], "serial")
-        return out
-
-    # ------------------------------------------------------------------
     def _run_pool(self, misses: List[JobKey]) -> Dict[JobKey, SimulationResult]:
-        opts = self.options
-        workers = min(opts.effective_jobs, len(misses))
-        if opts.batch and len(misses) > workers:
-            # More jobs than workers: ship whole chunks so each worker
-            # amortizes trace generation and warm caches across its
-            # share.  With jobs <= workers there is nothing to amortize
-            # (and the per-unit path keeps its exact fault semantics).
-            return self._run_pool_batched(misses, workers)
-        return self._run_pool_per_unit(misses)
-
-    def _run_pool_batched(
-        self, misses: List[JobKey], workers: int
-    ) -> Dict[JobKey, SimulationResult]:
-        """One chunk per worker via the batch executor.
-
-        Jobs sharing a trace signature are grouped into the same chunk
-        (that is where the amortization lives).  Any batch-level fault
-        — a crashed worker, a chunk timeout, an in-worker exception —
-        degrades the affected jobs to the per-unit pool path, whose
-        retry/fallback ladder guarantees the batch still completes with
-        results identical to clean serial execution.
-        """
-        from repro.runtime import batch as batch_mod
-
-        opts = self.options
-        out: Dict[JobKey, SimulationResult] = {}
-        total = len(misses)
-        done = 0
-        groups: Dict[tuple, List[JobKey]] = {}
-        for k in misses:
-            groups.setdefault(
-                batch_mod.trace_signature(self.cfg, k), []
-            ).append(k)
-        ordered = [k for g in groups.values() for k in g]
-        size = -(-len(ordered) // workers)
-        chunks = [
-            ordered[i:i + size] for i in range(0, len(ordered), size)
-        ]
-        recover: List[JobKey] = []
-        try:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [
-                    (chunk, pool.submit(
-                        batch_mod._pool_batch_worker,
-                        (self.cfg, chunk, opts.engine_profile),
-                    ))
-                    for chunk in chunks
-                ]
-                for chunk, fut in futures:
-                    timeout = (
-                        opts.timeout * len(chunk)
-                        if opts.timeout is not None else None
-                    )
-                    try:
-                        items = fut.result(timeout=timeout)
-                    except BrokenProcessPool:
-                        raise
-                    except FutureTimeoutError:
-                        self.stats.timeouts += 1
-                        fut.cancel()
-                        recover.extend(chunk)
-                        continue
-                    except Exception:
-                        self.stats.worker_failures += 1
-                        recover.extend(chunk)
-                        continue
-                    for key, result, dt in items:
-                        done += 1
-                        self.stats.executed_pool += 1
-                        self.stats.job_times.append((key.describe(), dt))
-                        self._commit(key, result)
-                        out[key] = result
-                        self._progress(done, total, key, dt, "pool")
-        except (BrokenProcessPool, OSError):
-            self.stats.retries += 1
-            recover = [k for k in misses if k not in out]
-        remaining = [k for k in recover if k not in out]
-        if remaining:
-            out.update(self._run_pool_per_unit(remaining))
-        return out
-
-    def _run_pool_per_unit(
-        self, misses: List[JobKey]
-    ) -> Dict[JobKey, SimulationResult]:
         opts = self.options
         out: Dict[JobKey, SimulationResult] = {}
         pending = list(misses)

@@ -167,8 +167,8 @@ class NdcScheme:
     def prepare(self, cfg: ArchConfig, trace: Trace) -> None:
         """Pre-run hook: the runtime calls this once per job, after the
         trace is built and before the simulation starts (the seam is
-        :func:`repro.runtime.parallel.execute_job`, which every
-        execution path — serial, pool, batch — flows through).
+        :func:`repro.runtime.parallel.execute_job`, which both
+        execution paths — serial and pool — flow through).
 
         Most schemes need no preparation; profile-guided schemes
         (:class:`NmpoScheme`) run their instrumented warm-up here."""

@@ -15,9 +15,11 @@ Variants:
   per-component masks, the route-reselection ablation, and the
   coarse-grain variant all come through here.
 
-A small LRU cache keyed by (name, variant, scale, config identity,
-pass options) avoids recompiling and re-lowering inside experiment
-sweeps.
+A small cache keyed by (name, variant, scale, the full config,
+tunables, pass options) avoids recompiling and re-lowering inside
+experiment sweeps, and hands every caller of one key the same trace
+object (the runtime's one trace source,
+:mod:`repro.runtime.batch`, relies on that identity).
 """
 
 from __future__ import annotations
@@ -41,13 +43,10 @@ def clear_cache() -> None:
 
 
 def _cache_key(name, variant, scale, cfg, cores, tunables, options):
-    cfg_key = (
-        cfg.noc.width, cfg.noc.height, cfg.l1.size_bytes, cfg.l2.size_bytes,
-        cfg.l2.line_bytes, cfg.memory.num_controllers,
-        tuple(cfg.ndc.allowed_ops), int(cfg.ndc.component_mask),
-    )
+    # The whole frozen (hashable) config: the passes and the lowering
+    # read fields all over it, so any hand-picked subset goes stale.
     t_key = tunables.digest() if tunables is not None else None
-    return (name, variant, scale, cfg_key, cores, t_key,
+    return (name, variant, scale, cfg, cores, t_key,
             tuple(sorted(options.items())))
 
 

@@ -241,23 +241,16 @@ class TestUniformKeywords:
             )
 
     def test_backend_validation_uniform(self):
+        """``"batch"`` is the one accepted backend; the removed
+        per-unit executor is rejected like any unknown name."""
         for verb in ("simulate", "characterize"):
-            with pytest.raises(ValueError, match="backend"):
-                getattr(api, verb)(
-                    "fft", scale=SCALE, cache=False, backend="quantum"
-                )
-
-    def test_backend_per_unit_equals_batch(self, tmp_path):
-        """The executor backend is a perf knob: same results, shared
-        cache entries."""
-        a = api.simulate(
-            "fft", "oracle", scale=SCALE, cache=False, backend="batch"
-        )
-        b = api.simulate(
-            "fft", "oracle", scale=SCALE, cache=False,
-            backend="per-unit",
-        )
-        assert a == b
+            for backend in ("quantum", "per-unit"):
+                with pytest.raises(ValueError, match="backend"):
+                    getattr(api, verb)(
+                        "fft", scale=SCALE, cache=False, backend=backend
+                    )
+        with pytest.raises(ValueError, match="batch executor"):
+            RuntimeOptions(batch=False)
 
 
 class TestSurface:

@@ -239,12 +239,28 @@ class TestNmpoProfileDeterminism:
         assert first is again  # served from the cache, not re-run
         assert first.digest() == again.digest()
 
-    def test_nmpo_result_identical_across_backends(self):
-        results = [
-            api.simulate("fft", "nmpo", scale=0.08, backend=backend,
-                         cache=False)
-            for backend in ("batch", "per-unit")
+    def test_nmpo_result_identical_serial_and_pooled(self):
+        """The warm-up runs in ``prepare`` wherever the job runs: a pool
+        worker mines the same profile and returns the same result as
+        the serial loop."""
+        from repro.runtime import (
+            JobKey, ParallelRunner, RuntimeOptions, config_digest,
+        )
+
+        variant, factory = S.SCHEMES["nmpo"]
+        scheme = factory(None)
+        keys = [
+            JobKey(bench=bench, variant=variant, scheme_spec=scheme.spec(),
+                   label=scheme.name, scale=0.08,
+                   config_digest=config_digest(DEFAULT_CONFIG))
+            for bench in ("fft", "swim")
         ]
+        results = []
+        for jobs in (1, 2):
+            S.clear_profile_cache()
+            runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=jobs))
+            results.append(runner.run_many(keys))
+        assert runner.stats.executed_pool == len(keys)
         assert results[0] == results[1]
 
 

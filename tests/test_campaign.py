@@ -356,6 +356,43 @@ class TestCampaignRunner:
         assert any(r["bench"] == "fft" for r in res.summary["units"])
         assert "failed units:" in res.report
 
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_unit_run_in_the_rerun_journals_its_wall(
+        self, tmp_path, monkeypatch, on_disk,
+    ):
+        """In a chunk of three whose middle job raises, ``run_many``
+        aborts and the unit-by-unit rerun runs the third unit: that
+        unit journals its own wall, never 0.0 (which reads as "not a
+        simulation")."""
+        from repro.runtime import parallel as P
+
+        spec = SweepSpec(
+            name="walls", benchmarks=("fft",),
+            schemes=("oracle", "algorithm-1"), scales=(SCALE,),
+        )
+        units = spec.expand()
+        assert len(units) == 3
+        middle = units[1].job_key(DEFAULT_CONFIG)
+        real = P.execute_job
+
+        def execute_job(cfg, key, *args, **kwargs):
+            if key == middle:
+                raise ValueError("injected middle-unit failure")
+            return real(cfg, key, *args, **kwargs)
+
+        monkeypatch.setattr(P, "execute_job", execute_job)
+        where = dict(
+            root=tmp_path / "runs",
+            options=RuntimeOptions(jobs=1, cache_dir=str(tmp_path / "c")),
+        ) if on_disk else {}
+        res = CampaignRunner(
+            spec, max_attempts=1, sleep=lambda _s: None, **where
+        ).run()
+        first, mid, last = (res.state.unit(u.unit_id) for u in units)
+        assert not mid.done
+        assert first.done and first.wall > 0
+        assert last.done and last.wall > 0
+
     def test_run_without_spec_raises(self):
         with pytest.raises(CampaignError, match="needs a SweepSpec"):
             CampaignRunner().run()

@@ -12,12 +12,6 @@ layers of :meth:`ParallelRunner._run_pool`:
 3. **per-job timeout fallback** — a hanging worker trips the per-job
    timeout (``stats.timeouts``) and the job reruns serially.
 
-The batched pool path (one chunk per worker via
-``repro.runtime.batch._pool_batch_worker``) adds a layer above these:
-a chunk-level fault (worker crash, in-chunk exception) degrades the
-affected jobs to the per-unit pool ladder, which then provides the
-same guarantees (``TestBatchedPoolFaults``).
-
 In every scenario the batch must complete with results **identical to a
 clean serial run** — degradation may cost time, never correctness.
 
@@ -83,21 +77,6 @@ def _hanging_worker(payload):
 
     time.sleep(3.0)
     return P._real_pool_worker_for_tests(payload)
-
-
-def _crash_once_batch_worker(payload):
-    """Batched-path sibling of :func:`_crash_once_worker`."""
-    from repro.runtime import batch as B
-
-    if not os.path.exists(_SENTINEL):
-        with open(_SENTINEL, "w") as fh:
-            fh.write("crashed")
-        os._exit(1)
-    return B._real_batch_worker_for_tests(payload)
-
-
-def _raising_batch_worker(payload):
-    raise RuntimeError("injected batch-chunk failure")
 
 
 def job_matrix():
@@ -196,81 +175,6 @@ class TestTimeoutFallback:
         assert set(out) == set(keys)
         for key in keys:
             assert out[key] == serial_results[key]
-
-
-def batch_matrix():
-    """More jobs than workers, so ``jobs=2`` takes the batched path."""
-    return [
-        JobKey(bench=bench, scale=scale, config_digest=CFG_DIGEST)
-        for bench in ("fft", "swim")
-        for scale in (SCALE, 0.09)
-    ]
-
-
-@pytest.fixture(scope="module")
-def batch_serial_results():
-    runner = ParallelRunner(
-        DEFAULT_CONFIG, RuntimeOptions(jobs=1, batch=False)
-    )
-    return runner.run_many(batch_matrix())
-
-
-@pytest.fixture()
-def patched_batch_worker(monkeypatch, tmp_path):
-    """Injectable *chunk* worker for the batched pool path."""
-    from repro.runtime import batch as B
-
-    monkeypatch.setattr(
-        B, "_real_batch_worker_for_tests", B._pool_batch_worker,
-        raising=False,
-    )
-
-    def install(worker):
-        global _SENTINEL
-        _SENTINEL = str(tmp_path / "sentinel")
-        monkeypatch.setattr(B, "_pool_batch_worker", worker)
-
-    yield install
-
-
-class TestBatchedPoolFaults:
-    """Faults in the one-chunk-per-worker batch path degrade to the
-    per-unit pool ladder — results stay identical to clean serial."""
-
-    @needs_fork
-    def test_chunk_worker_crash_recovers_per_unit(
-        self, patched_batch_worker, batch_serial_results
-    ):
-        patched_batch_worker(_crash_once_batch_worker)
-        runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=2))
-        keys = batch_matrix()
-        out = runner.run_many(keys)
-
-        assert runner.stats.retries >= 1, \
-            "a chunk-worker death must register as a pool retry"
-        assert set(out) == set(keys), "no job may be lost to the crash"
-        for key in keys:
-            assert out[key] == batch_serial_results[key], \
-                f"post-crash result differs from clean serial for {key}"
-
-    @needs_fork
-    def test_chunk_exception_degrades_chunk_to_per_unit(
-        self, patched_batch_worker, batch_serial_results
-    ):
-        patched_batch_worker(_raising_batch_worker)
-        runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=2))
-        keys = batch_matrix()
-        out = runner.run_many(keys)
-
-        assert runner.stats.worker_failures >= 1, \
-            "an in-chunk exception must be counted per failed chunk"
-        assert runner.stats.retries == 0, \
-            "an in-chunk exception must not be treated as a pool crash"
-        # The per-unit pool path (unpatched workers) did the real work.
-        assert runner.stats.executed_pool == len(keys)
-        assert set(out) == set(keys)
-        for key in keys:
-            assert out[key] == batch_serial_results[key]
 
 
 class TestWorkerExceptionCounters:

@@ -118,6 +118,66 @@ class TestDeterminism:
         assert runner.stats.executed == 1
 
 
+def lineup_chunk(bench):
+    """Every Fig. 4 scheme over one benchmark, as a lineup runs it."""
+    keys = []
+    for entry in S.fig4_lineup(None):
+        scheme = entry.build()
+        keys.append(JobKey(
+            bench=bench, variant=entry.variant, scheme_spec=scheme.spec(),
+            label=scheme.name, scale=SCALE, config_digest=CFG_DIGEST,
+        ))
+    return keys
+
+
+class TestOneTraceSource:
+    def test_lineup_chunk_lowers_each_trace_once(self, monkeypatch):
+        """Serially, a lineup chunk lowers each (bench, variant) once
+        and every job of a pair replays the same trace object; the
+        pool returns the same results."""
+        from repro.runtime import batch
+        from repro.workloads import tracegen
+
+        built, lowered, replayed = [], [], {}
+        real_build, real_lower = tracegen.build_benchmark, tracegen.lower_program
+        real_source = batch.cached_compiled_trace
+
+        def build(name, scale):
+            built.append(name)
+            return real_build(name, scale)
+
+        def lower(*args, **kwargs):
+            lowered.append(built[-1])
+            return real_lower(*args, **kwargs)
+
+        def source(cfg, key):
+            trace, report = real_source(cfg, key)
+            replayed.setdefault((key.bench, key.variant), set()).add(
+                id(trace))
+            return trace, report
+
+        monkeypatch.setattr(tracegen, "build_benchmark", build)
+        monkeypatch.setattr(batch, "cached_compiled_trace", source)
+        monkeypatch.setattr(tracegen, "lower_program", lower)
+        tracegen.clear_cache()
+        keys = lineup_chunk("fft") + lineup_chunk("swim")
+        pairs = {(k.bench, k.variant) for k in keys}
+        assert len(pairs) < len(keys), "the lineup must reuse variants"
+
+        serial = ParallelRunner(
+            DEFAULT_CONFIG, RuntimeOptions(jobs=1)
+        ).run_many(keys)
+        assert sorted(lowered) == sorted(b for b, _ in pairs)
+        assert set(replayed) == pairs
+        for pair, traces in replayed.items():
+            assert len(traces) == 1, f"{pair} replayed several traces"
+
+        runner = ParallelRunner(DEFAULT_CONFIG, RuntimeOptions(jobs=2))
+        pooled = runner.run_many(keys)
+        assert runner.stats.executed_pool > 0
+        assert pooled == serial
+
+
 class TestCacheCorrectness:
     def test_corrupted_entry_recomputed_and_repaired(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -1,5 +1,7 @@
 """The 20-benchmark suite: construction, determinism, scaling."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG
@@ -96,6 +98,24 @@ class TestCompiledVariants:
         a = benchmark_trace("lu", scale=0.12)
         b = benchmark_trace("lu", scale=0.12)
         assert a is b  # LRU-cached
+
+    @pytest.mark.parametrize("variant", ["alg1", "layout_alg1"])
+    def test_cache_keys_on_the_whole_config(self, variant):
+        """A config differing only in a field the passes read (here the
+        MC interleave, read through ``memory_controller``/``dram_bank``)
+        must not be served the default config's cached trace."""
+        from repro.workloads import tracegen
+
+        other = DEFAULT_CONFIG.replace(memory=dataclasses.replace(
+            DEFAULT_CONFIG.memory, interleave_bytes=2048,
+        ))
+        default, _ = compiled_trace("swim", variant, 0.1, DEFAULT_CONFIG)
+        served, _ = compiled_trace("swim", variant, 0.1, other)
+        tracegen.clear_cache()
+        cold, _ = compiled_trace("swim", variant, 0.1, other)
+        assert served is not default
+        assert served == cold
+        assert cold != default, "the interleave must change this trace"
 
     def test_fits_on_mesh(self):
         for name in ("md", "water"):
