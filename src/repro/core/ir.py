@@ -107,6 +107,21 @@ class ArrayRef:
     def address(self, iteration: Sequence[int]) -> int:
         return self.array.address(self.subscripts(iteration))
 
+    def addresses(self, iterations: np.ndarray) -> List[int]:
+        """:meth:`address` of every row of an int64 (N, depth) matrix.
+
+        One column ``F·I + f``, wrapped per dimension with ``np.mod``
+        (the floor semantics of :meth:`Array.address`) and folded
+        row-major; the elements are Python ints.
+        """
+        arr = self.array
+        F = np.asarray(self.F, dtype=np.int64).reshape(arr.rank, iterations.shape[1])
+        subs = iterations @ F.T + np.asarray(self.f, dtype=np.int64)
+        off = np.zeros(len(iterations), dtype=np.int64)
+        for d, dim in enumerate(arr.shape):
+            off = off * dim + np.mod(subs[:, d], dim)
+        return (arr.base + off * arr.element_size).tolist()
+
     def is_uniform_with(self, other: "ArrayRef") -> bool:
         """Uniformly generated pair: same array, identical F."""
         return self.array.name == other.array.name and self.F == other.F
@@ -153,6 +168,10 @@ class OpaqueRef:
 
     def address(self, iteration: Sequence[int]) -> int:
         return self.array.address(self.resolver(iteration))
+
+    def addresses(self, iterations: np.ndarray) -> List[int]:
+        """:meth:`address` per row; the resolver sees tuples of Python ints."""
+        return [self.address(it) for it in map(tuple, iterations.tolist())]
 
     def __repr__(self) -> str:
         return f"{self.array.name}[<{self.tag}>]"
@@ -254,16 +273,19 @@ class LoopNest:
         ranges = [range(l, u + 1) for l, u in zip(self.lower, self.upper)]
         return iter(tuple(i) for i in itertools.product(*ranges))
 
-    def scheduled_iterations(self) -> List[IntVector]:
-        """Iterations in *execution* order under the installed transform."""
-        pts = list(self.iter_space())
+    def iteration_matrix(self) -> np.ndarray:
+        """Iterations in *execution* order under the installed transform,
+        as an int64 (N, depth) array (rows lexicographic in ``T·I``)."""
+        pts = np.indices(self.trip_counts, dtype=np.int64).reshape(self.depth, -1).T
+        pts += np.asarray(self.lower, dtype=np.int64)
         if self.transform is None:
             return pts
-        T = np.asarray(self.transform, dtype=np.int64)
-        arr = np.asarray(pts, dtype=np.int64)
-        keys = arr @ T.T
-        order = np.lexsort(tuple(keys[:, k] for k in reversed(range(keys.shape[1]))))
-        return [pts[i] for i in order]
+        keys = pts @ np.asarray(self.transform, dtype=np.int64).T
+        return pts[np.lexsort(keys.T[::-1])]
+
+    def scheduled_iterations(self) -> List[IntVector]:
+        """:meth:`iteration_matrix` as a list of tuples of Python ints."""
+        return list(map(tuple, self.iteration_matrix().tolist()))
 
     def with_transform(self, T: IntMatrix) -> "LoopNest":
         return replace(self, transform=_as_matrix(T))

@@ -16,7 +16,15 @@ Each statement instance lowers to trace ops:
   value, and (for network-station plans) a per-instance route hint
   maximizing link overlap for that instance's actual operand homes.
 
-After emission, a backward pass over each core's stream fills the
+A nest is lowered in bulk, from arrays: the scheduled iteration matrix
+(:meth:`~repro.core.ir.LoopNest.iteration_matrix`), one owner search
+over the block bounds, vector Δ-shifts with an in-bounds mask, and one
+address column per reference (``F·I + f``, see
+:meth:`~repro.core.ir.ArrayRef.addresses`).  One loop then appends the
+ops row by row.  Every emitted field is a Python ``int`` or an enum
+member, never a numpy scalar: trace digests hash ``repr`` of the fields.
+
+After emission, a last-touch pass over each core's stream fills the
 ground-truth future-reuse flags (``x_reused``/``y_reused``) the oracle
 scheme consumes — any later access by the same core to the same L1
 line counts, mirroring the paper's footnote that the reuse need not be
@@ -26,6 +34,8 @@ within a bounded number of cycles.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.topology import mesh_for
 from repro.config import ArchConfig
@@ -57,118 +67,121 @@ def _partition(lower: int, upper: int, cores: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _shift_map(nest: LoopNest) -> Dict[int, Tuple[int, ...]]:
-    return {sid: delta for sid, delta in nest.stmt_shifts}
-
-
-class _Emitter:
-    """Per-core op-stream builder."""
-
-    def __init__(
-        self,
-        cfg: ArchConfig,
-        core: int,
-        plans: Dict[int, OffloadPlan],
-        route_selector: Optional[RouteSelector],
-    ):
-        self.cfg = cfg
-        self.core = core
-        self.plans = plans
-        self.routes = route_selector
-        self.ops: List[TraceOp] = []
-
-    def emit_statement(self, st: Statement, iteration: Tuple[int, ...]) -> None:
-        if st.work > 0:
-            self.ops.append(TraceOp(OpKind.WORK, pc_of(st.sid, 14), cost=st.work))
-        for k, r in enumerate(st.reads):
-            self.ops.append(
-                TraceOp(OpKind.LOAD, pc_of(st.sid, k), addr=r.address(iteration))
-            )
-        if st.compute is not None:
-            self._emit_compute(st, iteration)
-        for k, w in enumerate(st.writes):
-            self.ops.append(
-                TraceOp(
-                    OpKind.STORE, pc_of(st.sid, 8 + k), addr=w.address(iteration)
-                )
-            )
-
-    def _emit_compute(self, st: Statement, iteration: Tuple[int, ...]) -> None:
-        spec = st.compute
-        assert spec is not None
-        ax = spec.x.address(iteration)
-        ay = spec.y.address(iteration)
-        dest = spec.dest.address(iteration) if spec.dest is not None else None
-        plan = self.plans.get(st.sid)
-        pc = pc_of(st.sid)
-        if plan is None:
-            self.ops.append(
-                TraceOp(
-                    OpKind.COMPUTE, pc, addr=ax, addr2=ay, dest=dest, op=spec.op
-                )
-            )
-            return
-        hint = self._route_hint(ax, ay) if plan.use_route_hints else None
-        self.ops.append(
-            TraceOp(
-                OpKind.PRE_COMPUTE,
-                pc,
-                addr=ax,
-                addr2=ay,
-                dest=dest,
-                op=spec.op,
-                mask=plan.mask,
-                route_hint=hint,
-                timeout=plan.timeout,
-                pred_reuse=False,
-            )
-        )
-
-    def _route_hint(self, ax: int, ay: int) -> Optional[RouteHint]:
-        if self.routes is None:
-            return None
-        hx = self.cfg.l2_home_node(ax)
-        hy = self.cfg.l2_home_node(ay)
-        if hx == self.core or hy == self.core:
-            return None
-        plan = self.routes.plan(self.core, hx, hy)
-        if plan.common_links == 0:
-            return None
-        return plan.hint
-
-
 def lower_nest(
     cfg: ArchConfig,
     nest: LoopNest,
-    cores: int,
     plans: Dict[int, OffloadPlan],
-    emitters: Sequence[_Emitter],
+    streams: Sequence[List[TraceOp]],
+    routes: Optional[RouteSelector],
 ) -> None:
-    """Emit one nest into every core's stream (block-partitioned)."""
-    shifts = _shift_map(nest)
-    blocks = _partition(nest.lower[0], nest.upper[0], cores)
-    iterations = nest.scheduled_iterations()
-    lower, upper = nest.lower, nest.upper
-    for it in iterations:
-        owner = _owner_of(it[0], blocks)
-        if owner is None:
+    """Emit one nest into every core's stream (block-partitioned).
+
+    Each statement's instances are lowered column-wise over the nest's
+    iteration matrix; one loop then appends them row by row, statement
+    by statement, to the owning core's stream.
+    """
+    iters = nest.iteration_matrix()
+    his = [hi for _, hi in _partition(nest.lower[0], nest.upper[0], len(streams))]
+    # Empty blocks trail and repeat the last bound: the first block whose
+    # upper bound reaches the outer index owns the iteration.
+    owners = np.searchsorted(his, iters[:, 0]).tolist()
+    lower = np.asarray(nest.lower, dtype=np.int64)
+    upper = np.asarray(nest.upper, dtype=np.int64)
+    shifts = dict(nest.stmt_shifts)
+    per_stmt = []
+    for st in nest.body:
+        delta = shifts.get(st.sid)
+        if delta is None:
+            per_stmt.append(_statement_ops(cfg, st, iters, owners, plans, routes))
             continue
-        em = emitters[owner]
-        for st in nest.body:
-            delta = shifts.get(st.sid)
-            inst = it if delta is None else tuple(a + b for a, b in zip(it, delta))
-            if delta is not None and not all(
-                l <= v <= u for v, l, u in zip(inst, lower, upper)
-            ):
-                continue  # shifted instance falls outside the space
-            em.emit_statement(st, inst)
+        inst = iters + np.asarray(delta, dtype=np.int64)
+        valid = np.all((inst >= lower) & (inst <= upper), axis=1)
+        rows = np.flatnonzero(valid).tolist()
+        ops = _statement_ops(
+            cfg, st, inst[valid], [owners[r] for r in rows], plans, routes
+        )
+        # a shifted instance outside the space emits nothing
+        per_row: List[Tuple[TraceOp, ...]] = [()] * len(iters)
+        for r, inst_ops in zip(rows, ops):
+            per_row[r] = inst_ops
+        per_stmt.append(per_row)
+    for owner, parts in zip(owners, zip(*per_stmt)):
+        extend = streams[owner].extend
+        for inst_ops in parts:
+            extend(inst_ops)
 
 
-def _owner_of(outer: int, blocks: List[Tuple[int, int]]) -> Optional[int]:
-    for c, (lo, hi) in enumerate(blocks):
-        if lo <= outer <= hi:
-            return c
-    return None
+def _statement_ops(
+    cfg: ArchConfig,
+    st: Statement,
+    inst: np.ndarray,
+    cores: List[int],
+    plans: Dict[int, OffloadPlan],
+    routes: Optional[RouteSelector],
+) -> List[Tuple[TraceOp, ...]]:
+    """The ops of every instance (row of ``inst``) of ``st``, in order:
+    ``WORK``, one ``LOAD`` per read, the compute, one ``STORE`` per write."""
+    n = len(inst)
+    cols: List[List[TraceOp]] = []
+    if st.work > 0:
+        # TraceOp is frozen, so every instance shares one WORK op.
+        cols.append([TraceOp(OpKind.WORK, pc_of(st.sid, 14), cost=st.work)] * n)
+    for k, r in enumerate(st.reads):
+        pc = pc_of(st.sid, k)
+        cols.append([TraceOp(OpKind.LOAD, pc, a) for a in r.addresses(inst)])
+    if st.compute is not None:
+        cols.append(_compute_ops(cfg, st, inst, cores, plans.get(st.sid), routes))
+    for k, w in enumerate(st.writes):
+        pc = pc_of(st.sid, 8 + k)
+        cols.append([TraceOp(OpKind.STORE, pc, a) for a in w.addresses(inst)])
+    return list(zip(*cols)) if cols else [()] * n
+
+
+def _compute_ops(
+    cfg: ArchConfig,
+    st: Statement,
+    inst: np.ndarray,
+    cores: List[int],
+    plan: Optional[OffloadPlan],
+    routes: Optional[RouteSelector],
+) -> List[TraceOp]:
+    spec = st.compute
+    assert spec is not None
+    ax = spec.x.addresses(inst)
+    ay = spec.y.addresses(inst)
+    dests = spec.dest.addresses(inst) if spec.dest is not None else [None] * len(ax)
+    pc = pc_of(st.sid)
+    if plan is None:
+        return [
+            TraceOp(OpKind.COMPUTE, pc, x, y, d, spec.op)
+            for x, y, d in zip(ax, ay, dests)
+        ]
+    if plan.use_route_hints and routes is not None:
+        hints = [_route_hint(cfg, routes, c, x, y) for c, x, y in zip(cores, ax, ay)]
+    else:
+        hints = [None] * len(ax)
+    # Positional: kind, pc, addr, addr2, dest, op, cost, x_reused,
+    # y_reused, pred_reuse, mask, route_hint, timeout.
+    return [
+        TraceOp(
+            OpKind.PRE_COMPUTE, pc, x, y, d, spec.op, 1, False, False, False,
+            plan.mask, h, plan.timeout,
+        )
+        for x, y, d, h in zip(ax, ay, dests, hints)
+    ]
+
+
+def _route_hint(
+    cfg: ArchConfig, routes: RouteSelector, core: int, ax: int, ay: int
+) -> Optional[RouteHint]:
+    hx = cfg.l2_home_node(ax)
+    hy = cfg.l2_home_node(ay)
+    if hx == core or hy == core:
+        return None
+    plan = routes.plan(core, hx, hy)
+    if plan.common_links == 0:
+        return None
+    return plan.hint
 
 
 def lower_program(
@@ -179,56 +192,54 @@ def lower_program(
 ) -> Trace:
     """Lower ``program`` onto ``cores`` cores (default: the whole mesh)."""
     mesh = mesh_for(cfg.noc.width, cfg.noc.height)
-    n_cores = cores or mesh.num_nodes
-    if n_cores > mesh.num_nodes:
-        raise ValueError("more cores requested than mesh nodes")
+    n_cores = mesh.num_nodes if cores is None else cores
+    if not 1 <= n_cores <= mesh.num_nodes:
+        raise ValueError(
+            f"cores must be in 1..{mesh.num_nodes} (the mesh nodes), got {cores}"
+        )
     plans = plans or {}
     needs_routes = any(p.use_route_hints for p in plans.values())
     selector = RouteSelector(cfg, mesh) if needs_routes else None
-    emitters = [_Emitter(cfg, c, plans, selector) for c in range(n_cores)]
+    streams: List[List[TraceOp]] = [[] for _ in range(n_cores)]
     for nest in program.nests:
-        lower_nest(cfg, nest, n_cores, plans, emitters)
-    streams = [annotate_reuse(cfg, em.ops) for em in emitters]
-    return make_trace(streams)
+        lower_nest(cfg, nest, plans, streams, selector)
+    return make_trace(annotate_reuse(cfg, ops) for ops in streams)
 
 
 def annotate_reuse(cfg: ArchConfig, ops: List[TraceOp]) -> List[TraceOp]:
-    """Fill ground-truth future-reuse flags on compute ops (backward scan).
+    """Fill ground-truth future-reuse flags on compute ops (last-touch index).
 
     An operand counts as reused when the same core touches its L1 line
     anywhere later in its stream — by any op, including other computes —
     mirroring the paper's footnote that the reuse need not occur within
     a bounded number of cycles.  Line granularity matters: offloading a
     compute strands the operand *line* outside the L1, so spatial
-    neighbours count as reuse too.
+    neighbours count as reuse too.  One pass records each line's last
+    touching op; an operand of op ``i`` is reused iff that index is > i.
     """
     line = cfg.l1.line_bytes
-    #: line -> set of static pcs that touch it later in the stream
-    future: Dict[int, set] = {}
-    out: List[Optional[TraceOp]] = [None] * len(ops)
-
-    def touches(op: TraceOp) -> List[int]:
-        t = []
-        if op.kind in (OpKind.LOAD, OpKind.STORE):
-            t.append(op.addr // line)
-        elif op.kind in (OpKind.COMPUTE, OpKind.PRE_COMPUTE):
-            t.append(op.addr // line)
-            t.append(op.addr2 // line)
+    computes = (OpKind.COMPUTE, OpKind.PRE_COMPUTE)
+    #: line -> index of the last op in the stream that touches it
+    last: Dict[int, int] = {}
+    compute_at: List[int] = []
+    for i, op in enumerate(ops):
+        kind = op.kind
+        if kind in computes:
+            last[op.addr // line] = i
+            last[op.addr2 // line] = i
             if op.dest is not None:
-                t.append(op.dest // line)
-        return t
-
-    for i in range(len(ops) - 1, -1, -1):
+                last[op.dest // line] = i
+            compute_at.append(i)
+        elif kind in (OpKind.LOAD, OpKind.STORE):
+            last[op.addr // line] = i
+    out = list(ops)
+    for i in compute_at:
         op = ops[i]
-        if op.kind in (OpKind.COMPUTE, OpKind.PRE_COMPUTE):
-            xr = bool(future.get(op.addr // line))
-            yr = bool(future.get(op.addr2 // line))
-            if xr != op.x_reused or yr != op.y_reused:
-                op = TraceOp(
-                    op.kind, op.pc, op.addr, op.addr2, op.dest, op.op, op.cost,
-                    xr, yr, op.pred_reuse, op.mask, op.route_hint, op.timeout,
-                )
-        out[i] = op
-        for ln in touches(op):
-            future.setdefault(ln, set()).add(op.pc)
-    return [o for o in out if o is not None]
+        xr = last[op.addr // line] > i
+        yr = last[op.addr2 // line] > i
+        if xr != op.x_reused or yr != op.y_reused:
+            out[i] = TraceOp(
+                op.kind, op.pc, op.addr, op.addr2, op.dest, op.op, op.cost,
+                xr, yr, op.pred_reuse, op.mask, op.route_hint, op.timeout,
+            )
+    return out
