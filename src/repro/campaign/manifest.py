@@ -9,9 +9,11 @@ ever *appended* (never rewritten), the journal survives ``SIGKILL`` at
 any instant; replay simply ignores a torn trailing line.
 
 The :class:`Manifest` API is the same whether it is backed by a file
-(resumable campaigns) or purely in-memory (the tuner's throwaway
-candidate evaluations): ``record_done`` / ``record_failed`` append
-events, :meth:`state` folds the journal into per-unit status.
+(resumable campaigns) or purely in-memory (in-memory campaigns and the
+tuner's throwaway candidate evaluations): the campaign's claim queue
+appends ``record_done`` / ``record_failed`` events inside its claim
+transactions, and :meth:`state` folds the journal into per-unit
+status.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class Manifest:
     """Append-only JSONL journal for one campaign (or in-memory).
 
     ``path=None`` keeps the journal in memory only — same API, nothing
-    on disk (used by the tuner's campaign-routed candidate loop).
+    on disk (the journal of an in-memory claim queue: in-memory
+    campaigns and the tuner's candidate loop).
     """
 
     def __init__(self, path: Union[None, str, Path] = None):

@@ -1,10 +1,13 @@
 """SQLite-WAL claim queue: a campaign as a shared work pool.
 
-The queue is the *coordination* half of a campaign directory.  It lives
-beside the append-only ``manifest.jsonl`` journal as ``claims.sqlite``
-— one row per sweep unit — and lets any number of worker processes
-(``repro sweep worker``, or the children behind ``--workers N``) pull
-open units concurrently:
+The queue is the *coordination* half of a campaign.  It keeps one row
+per sweep unit and owns the append-only :class:`~repro.campaign.
+manifest.Manifest` journal it writes to.  On disk it lives beside
+``manifest.jsonl`` as ``claims.sqlite`` and lets any number of worker
+processes (``repro sweep worker``, or the children behind
+``--workers N``) pull open units concurrently.  An in-memory campaign
+and the tuner drain the same table on ``ClaimQueue(":memory:")`` with
+an in-memory journal, so every campaign runs one claim loop:
 
 * **claiming** is an atomic ``open -> claimed`` transition inside a
   ``BEGIN IMMEDIATE`` transaction, stamped with the claimer's identity
@@ -14,9 +17,9 @@ open units concurrently:
   the queue — immediately when the owner pid is visibly dead on the
   same host, or at lease expiry otherwise;
 * **completion** is exactly-once: the ``claimed -> done`` transition is
-  a conditional UPDATE guarded by the owner identity, and the manifest
-  append runs *inside* the same transaction — a worker whose lease was
-  reclaimed loses the UPDATE and therefore never journals;
+  a conditional UPDATE guarded by the owner identity, and the queue's
+  manifest append runs *inside* the same transaction — a worker whose
+  lease was reclaimed loses the UPDATE and therefore never journals;
 * **reconciliation** (:meth:`ClaimQueue.reconcile`) repairs the one
   crash window the above leaves (journal appended, claim-row commit
   lost): the manifest journal is the authority, so manifest-``done``
@@ -25,9 +28,10 @@ open units concurrently:
   (they re-resolve through the warm cache and journal once).
 
 Failed units keep their error and attempt count in the claim row (and
-the journal); ``reconcile(reset_failed=True)`` — the resume path —
-reopens them, mirroring the PyExperimenter "reset failed experiments"
-workflow.
+the journal) and reopen after a ``not_before`` backoff while attempts
+remain; ``reconcile(reset_failed=True)`` — the resume path — reopens
+terminal failures, mirroring the PyExperimenter "reset failed
+experiments" workflow.
 
 The queue never holds results: simulation outputs travel through the
 content-addressed :mod:`repro.runtime.cache` exactly as before, so the
@@ -45,6 +49,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Union
+
+from repro.campaign.manifest import Manifest
 
 CLAIMS_NAME = "claims.sqlite"
 
@@ -108,12 +114,19 @@ class ClaimedUnit:
 
 @dataclass(frozen=True)
 class QueueCounts:
-    """Row counts per status (one ``counts()`` snapshot)."""
+    """Row counts per status (one ``counts()`` snapshot).
+
+    ``retry_in`` is how many seconds, on the queue's clock, until the
+    earliest ``open`` row passes its retry backoff (0 when one is
+    claimable now, ``None`` when no row is open) — how long an idle
+    worker may sleep before a retry becomes claimable.
+    """
 
     open: int = 0
     claimed: int = 0
     done: int = 0
     failed: int = 0
+    retry_in: Optional[float] = None
 
     @property
     def total(self) -> int:
@@ -126,31 +139,31 @@ class QueueCounts:
 
 
 class ClaimQueue:
-    """The ``claims.sqlite`` table of one campaign directory.
+    """The claim table of one campaign (``claims.sqlite``, or
+    ``":memory:"`` for a campaign without a directory).
 
-    ``worker_id`` defaults to a fresh ``host:pid:nonce`` identity;
-    ``clock`` is injectable so lease expiry is testable without
-    sleeping.  Every mutating method is one WAL transaction, so any
-    number of queues (processes) may point at the same file.
+    ``manifest`` is the journal :meth:`complete`/:meth:`fail` append to
+    inside their transactions and :meth:`reconcile`/:meth:`done_ids`
+    read; a queue without one only runs the lease protocol (status
+    views, tests).  ``worker_id`` defaults to a fresh
+    ``host:pid:nonce`` identity; ``clock`` is injectable so lease
+    expiry is testable without sleeping.  Every mutating method is one
+    WAL transaction, so any number of queues (processes) may point at
+    the same file.
     """
-
-    #: Local backends journal through the caller's ``journal=`` callback
-    #: inside the claim transaction; the network backend
-    #: (:class:`~repro.campaign.remote.RemoteClaimQueue`) flips this and
-    #: ships structured journal entries so the *server* appends inside
-    #: its transaction.  The runner dispatches on it.
-    journals_remotely = False
 
     def __init__(
         self,
         path: Union[str, Path],
         *,
+        manifest: Optional[Manifest] = None,
         worker_id: Optional[str] = None,
         clock: Callable[[], float] = time.time,
         busy_timeout: float = 30.0,
         check_same_thread: bool = True,
     ):
         self.path = Path(path)
+        self.manifest = manifest
         self.clock = clock
         self.host = socket.gethostname()
         self.pid = os.getpid()
@@ -230,18 +243,19 @@ class ClaimQueue:
                 added += cur.rowcount
         return added
 
-    def reconcile(
-        self,
-        manifest,
-        *,
-        reset_failed: bool = False,
-    ) -> dict:
+    def _journal(self) -> Manifest:
+        if self.manifest is None:
+            raise QueueError(
+                f"claim queue {self.path} has no journal (manifest=)"
+            )
+        return self.manifest
+
+    def reconcile(self, *, reset_failed: bool = False) -> dict:
         """Repair claim/journal divergence; the journal is the authority.
 
-        ``manifest`` is either a :class:`~repro.campaign.manifest.
-        Manifest` (re-read from disk inside the transaction, so the
-        repair sees every committed journal line) or a plain iterable
-        of done unit ids.  Two crash windows are repaired:
+        The queue's manifest is re-read from disk inside the
+        transaction, so the repair sees every committed journal line.
+        Two crash windows are repaired:
 
         * journal says ``done`` but the claim row does not (a writer
           died after the manifest append, before the claim commit):
@@ -253,13 +267,9 @@ class ClaimQueue:
         ``reset_failed=True`` (the resume path) additionally reopens
         terminally failed units with a fresh attempt budget.
         """
+        journal = self._journal()
         with self.transaction() as db:
-            if hasattr(manifest, "done_ids"):
-                if hasattr(manifest, "reload"):
-                    manifest.reload(repair=True)
-                done = set(manifest.done_ids())
-            else:
-                done = set(manifest)
+            done = journal.reload(repair=True).done_ids()
             repaired = reopened = reset = 0
             rows = db.execute("SELECT unit_id, status FROM units").fetchall()
             for uid, status in rows:
@@ -358,17 +368,22 @@ class ClaimQueue:
         unit_id: str,
         digest: Optional[str],
         *,
-        journal: Optional[Callable[[], None]] = None,
+        wall: float = 0.0,
+        attempt: int = 1,
+        session: int = 0,
+        result=None,
     ) -> bool:
         """``claimed -> done`` if we still own the unit; exactly-once.
 
-        ``journal`` (the manifest append) runs *inside* the claim
-        transaction, after the owner-guarded UPDATE wins — so a worker
-        whose lease was reclaimed never journals, and a crash between
-        the journal append and the commit leaves the journal ahead of
-        the table, which :meth:`reconcile` repairs without re-running.
-        Returns False when the lease was lost (the caller's result is
-        already in the shared cache; nothing else to do).
+        The manifest's ``done`` line (``wall``/``attempt``/``session``)
+        is appended *inside* the claim transaction, after the
+        owner-guarded UPDATE wins — so a worker whose lease was
+        reclaimed never journals, and a crash between the journal
+        append and the commit leaves the journal ahead of the table,
+        which :meth:`reconcile` repairs without re-running.  ``result``
+        needs no shipping here: it already sits in the runner's cache
+        layers, which every local worker shares.  Returns False when
+        the lease was lost (nothing else to do).
         """
         with self.transaction() as db:
             cur = db.execute(
@@ -378,8 +393,10 @@ class ClaimQueue:
             )
             if cur.rowcount != 1:
                 return False
-            if journal is not None:
-                journal()
+            if self.manifest is not None:
+                self.manifest.record_done(
+                    unit_id, digest, wall, attempt, session
+                )
         return True
 
     def fail(
@@ -389,14 +406,16 @@ class ClaimQueue:
         *,
         max_attempts: int,
         backoff: float = 0.0,
-        journal: Optional[Callable[[], None]] = None,
+        attempt: int = 1,
+        session: int = 0,
     ) -> str:
         """Record one failed attempt; returns ``retry|failed|lost``.
 
         Below the attempt cap the unit reopens with a ``not_before``
         backoff (any worker may pick up the retry); at the cap it turns
         terminally ``failed`` (resettable via ``reconcile``).  Like
-        :meth:`complete`, the journal append commits with the row.
+        :meth:`complete`, the journal's ``failed`` line commits with
+        the row, and a lost lease journals nothing.
         """
         now = self.clock()
         with self.transaction() as db:
@@ -422,8 +441,10 @@ class ClaimQueue:
                     " not_before=? WHERE unit_id=?",
                     (OPEN, str(error)[:500], now + backoff, unit_id),
                 )
-            if journal is not None:
-                journal()
+            if self.manifest is not None:
+                self.manifest.record_failed(
+                    unit_id, error, attempt, session
+                )
         return "failed" if terminal else "retry"
 
     def mark_done(self, unit_id: str) -> None:
@@ -443,17 +464,33 @@ class ClaimQueue:
     # ------------------------------------------------------------------
     # observation
     # ------------------------------------------------------------------
+    def done_ids(self) -> set:
+        """Unit ids the journal (re-read from disk) marks ``done``."""
+        return self._journal().reload().done_ids()
+
+    def fetch_result(self, digest: str) -> None:
+        """Results never live in the claim table: a local worker reads
+        them from the cache layers it shares with every other one."""
+        return None
+
     def counts(self) -> QueueCounts:
         rows = dict(
             self._db.execute(
                 "SELECT status, COUNT(*) FROM units GROUP BY status"
             ).fetchall()
         )
+        (not_before,) = self._db.execute(
+            "SELECT MIN(not_before) FROM units WHERE status=?", (OPEN,)
+        ).fetchone()
         return QueueCounts(
             open=rows.get(OPEN, 0),
             claimed=rows.get(CLAIMED, 0),
             done=rows.get(DONE, 0),
             failed=rows.get(FAILED, 0),
+            retry_in=(
+                None if not_before is None
+                else max(0.0, not_before - self.clock())
+            ),
         )
 
     def live_leases(self) -> int:

@@ -8,10 +8,13 @@ exactly-once journaling contract:
 * :class:`ClaimServer` owns the campaign directory.  It fronts the
   existing :class:`~repro.campaign.queue.ClaimQueue` with a small
   JSON-RPC dispatch (one method per backend verb) and serves it over a
-  stdlib ``ThreadingHTTPServer`` (``repro sweep serve``).  All journal
-  appends happen *here*, inside the queue's owner-guarded
-  transactions, exactly as in the single-host runner.
-* :class:`RemoteClaimQueue` is the client backend.  It speaks any
+  stdlib ``ThreadingHTTPServer`` (``repro sweep serve``).  Its queues
+  own the campaign's journal, so every journal append happens *here*,
+  inside the queue's owner-guarded transactions, exactly as in the
+  single-host runner.
+* :class:`RemoteClaimQueue` is the client backend.  It has the local
+  queue's verb set and signatures (the runner cannot tell them apart)
+  and speaks any
   :class:`~repro.campaign.transport.Transport` with a per-call
   timeout, capped exponential backoff with jitter
   (:func:`~repro.runtime.backoff.backoff_delay`), and per-operation
@@ -21,11 +24,12 @@ exactly-once journaling contract:
   exactly-once effects — a retried ``complete()`` can never
   double-journal.
 
-Result shipping rides the same channel.  A worker without the shared
-cache uploads its pickled :class:`~repro.arch.simulator.SimulationResult`
-blobs (content-addressed by JobKey digest, base64 over the wire);
-the server materializes them into the campaign cache with the same
-first-writer-wins rule as :meth:`ResultCache.store`.  **Admissibility
+Result shipping rides the same channel.  The client's ``complete``
+first uploads the unit's pickled
+:class:`~repro.arch.simulator.SimulationResult` (content-addressed by
+JobKey digest, base64 over the wire), so a worker needs no shared
+cache; the server materializes it into the campaign cache with the
+same first-writer-wins rule as :meth:`ResultCache.store`.  **Admissibility
 rule:** the server refuses ``complete`` for a digest it does not hold,
 so a journaled ``done`` always has its result bytes on the server and
 ``summary.json`` / ``report.txt`` stay byte-identical to a
@@ -44,6 +48,7 @@ trust (a lab cluster, CI), not on the open internet.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import pickle
 import socket
@@ -53,9 +58,7 @@ import uuid
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import (
-    Callable, Dict, Iterable, List, Optional, Protocol, Union,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Union
 
 from repro.arch.simulator import SimulationResult
 from repro.campaign.manifest import Manifest
@@ -97,28 +100,42 @@ class RemoteProtocolError(QueueError):
 
 class ClaimBackend(Protocol):
     """What :class:`~repro.campaign.runner.CampaignRunner` needs from a
-    claim queue — the narrow verb set ClaimQueue already exposes,
-    extracted so the SQLite and network backends are interchangeable.
+    claim queue — the verb set ClaimQueue exposes, shared with the
+    network backend so the two are interchangeable.
 
-    ``journals_remotely`` selects the journaling path: ``False`` means
-    ``complete``/``fail`` accept a ``journal=`` callback executed
-    inside the claim transaction (local SQLite); ``True`` means the
-    caller ships structured journal fields (``wall``/``attempt``/
-    ``session``) and the server appends on its side.
+    Each backend owns its journal: ``complete``/``fail`` append the
+    unit's journal line inside the claim transaction (locally, or on
+    the server), and ``complete`` makes ``result`` readable to whoever
+    finalizes (already true of a shared cache; the network client
+    uploads it first).
     """
 
-    journals_remotely: bool
     worker_id: str
 
     def populate(self, unit_ids: Iterable[str], *,
                  spec_digest: Optional[str] = None) -> int: ...
+
+    def reconcile(self, *, reset_failed: bool = False) -> dict: ...
 
     def claim(self, limit: int, *, lease: float) -> List[ClaimedUnit]: ...
 
     def heartbeat(self, unit_ids: Iterable[str], *,
                   lease: float) -> int: ...
 
+    def complete(self, unit_id: str, digest: str, *, wall: float = 0.0,
+                 attempt: int = 1, session: int = 0,
+                 result: Optional[SimulationResult] = None) -> bool: ...
+
+    def fail(self, unit_id: str, error: str, *, max_attempts: int,
+             backoff: float = 0.0, attempt: int = 1,
+             session: int = 0) -> str: ...
+
     def mark_done(self, unit_id: str) -> None: ...
+
+    def done_ids(self) -> set: ...
+
+    def fetch_result(self,
+                     digest: str) -> Optional[SimulationResult]: ...
 
     def counts(self) -> QueueCounts: ...
 
@@ -195,15 +212,16 @@ class ClaimServer:
         # campaign is drainable the moment the first worker says hello.
         q = self._queue_for(f"server:{socket.gethostname()}")
         q.populate(self._unit_ids, spec_digest=self.spec.spec_digest())
-        q.reconcile(self.manifest, reset_failed=True)
+        q.reconcile(reset_failed=True)
 
     # -- plumbing ------------------------------------------------------
     def _queue_for(self, worker: str) -> ClaimQueue:
         q = self._queues.get(worker)
         if q is None:
             q = ClaimQueue(
-                self.dir / CLAIMS_NAME, worker_id=worker,
-                clock=self.clock, check_same_thread=False,
+                self.dir / CLAIMS_NAME, manifest=self.manifest,
+                worker_id=worker, clock=self.clock,
+                check_same_thread=False,
             )
             # Network workers get a synthetic host and a pid no local
             # process ever has, so claims between them can never take
@@ -269,7 +287,7 @@ class ClaimServer:
                 f"({digest[:12]}... != {self.spec.spec_digest()[:12]}...)"
             )
         q = self._queue_for(worker)
-        q.reconcile(self.manifest, reset_failed=True)
+        q.reconcile(reset_failed=True)
         session = self.manifest.start_session(resume=True)
         return {
             "campaign": self.campaign_id,
@@ -313,27 +331,19 @@ class ClaimServer:
             )
         committed = self._queue_for(worker).complete(
             unit_id, digest,
-            journal=lambda: self.manifest.record_done(
-                unit_id, digest,
-                float(params.get("wall", 0.0)),
-                int(params.get("attempt", 1)),
-                int(params.get("session", 0)),
-            ),
+            wall=float(params.get("wall", 0.0)),
+            attempt=int(params.get("attempt", 1)),
+            session=int(params.get("session", 0)),
         )
         return {"committed": committed}
 
     def _rpc_fail(self, worker: str, params: dict) -> dict:
-        unit_id = params["unit_id"]
-        error = str(params.get("error", ""))
         outcome = self._queue_for(worker).fail(
-            unit_id, error,
+            params["unit_id"], str(params.get("error", "")),
             max_attempts=int(params["max_attempts"]),
             backoff=float(params.get("backoff", 0.0)),
-            journal=lambda: self.manifest.record_failed(
-                unit_id, error,
-                int(params.get("attempt", 1)),
-                int(params.get("session", 0)),
-            ),
+            attempt=int(params.get("attempt", 1)),
+            session=int(params.get("session", 0)),
         )
         return {"outcome": outcome}
 
@@ -343,19 +353,14 @@ class ClaimServer:
 
     def _rpc_reconcile(self, worker: str, params: dict) -> dict:
         return self._queue_for(worker).reconcile(
-            self.manifest,
             reset_failed=bool(params.get("reset_failed", False)),
         )
 
     def _rpc_counts(self, worker: str, params: dict) -> dict:
-        c = self._queue_for(worker).counts()
-        return {
-            "open": c.open, "claimed": c.claimed,
-            "done": c.done, "failed": c.failed,
-        }
+        return dataclasses.asdict(self._queue_for(worker).counts())
 
     def _rpc_done_ids(self, worker: str, params: dict) -> List[str]:
-        return sorted(self.manifest.reload().done_ids())
+        return sorted(self._queue_for(worker).done_ids())
 
     def _rpc_put_result(self, worker: str, params: dict) -> dict:
         digest = params["digest"]
@@ -493,6 +498,10 @@ class _RpcHandler(BaseHTTPRequestHandler):
 class RemoteClaimQueue:
     """The :class:`ClaimBackend` that talks to a :class:`ClaimServer`.
 
+    The server's queues own the journal: ``complete``/``fail`` carry
+    the journal fields (``wall``/``attempt``/``session``) and the
+    server appends inside its claim transaction.
+
     ``server`` is an ``http://host:port`` URL or any
     :class:`~repro.campaign.transport.Transport` (tests inject
     :class:`LocalTransport` wrapped in :class:`FaultyTransport`).
@@ -504,8 +513,6 @@ class RemoteClaimQueue:
     retries; the server replays the recorded reply, so a ``complete``
     whose response was torn cannot journal twice when retried.
     """
-
-    journals_remotely = True
 
     def __init__(
         self,
@@ -627,14 +634,13 @@ class RemoteClaimQueue:
         wall: float = 0.0,
         attempt: int = 1,
         session: int = 0,
-        journal: Optional[Callable[[], None]] = None,
+        result: Optional[SimulationResult] = None,
     ) -> bool:
-        if journal is not None:
-            raise QueueError(
-                "the remote backend journals on the server; pass "
-                "wall=/attempt=/session= instead of journal="
-            )
-        result = self._call(
+        # Ship before complete: the server refuses a done unit whose
+        # result bytes it does not hold.
+        if result is not None:
+            self.ship_result(digest, result)
+        reply = self._call(
             "complete",
             {
                 "unit_id": unit_id, "digest": digest,
@@ -643,7 +649,7 @@ class RemoteClaimQueue:
             },
             mutating=True,
         )
-        return bool(result["committed"])
+        return bool(reply["committed"])
 
     def fail(
         self,
@@ -654,13 +660,7 @@ class RemoteClaimQueue:
         backoff: float = 0.0,
         attempt: int = 1,
         session: int = 0,
-        journal: Optional[Callable[[], None]] = None,
     ) -> str:
-        if journal is not None:
-            raise QueueError(
-                "the remote backend journals on the server; pass "
-                "attempt=/session= instead of journal="
-            )
         result = self._call(
             "fail",
             {
@@ -676,10 +676,7 @@ class RemoteClaimQueue:
     def mark_done(self, unit_id: str) -> None:
         self._call("mark_done", {"unit_id": unit_id}, mutating=True)
 
-    def reconcile(self, manifest=None, *,
-                  reset_failed: bool = False) -> dict:
-        # The server's journal is the authority; a client-side manifest
-        # argument is accepted for signature compatibility and ignored.
+    def reconcile(self, *, reset_failed: bool = False) -> dict:
         return self._call(
             "reconcile", {"reset_failed": bool(reset_failed)},
             mutating=True,

@@ -12,18 +12,24 @@ one cache namespace.  What the campaign layer adds:
   stopped: manifest-``done`` units are never re-simulated (their
   results come back through the warm disk cache), in-flight units
   simply rerun;
-* a **claim queue** (``claims.sqlite``, :mod:`repro.campaign.queue`)
-  beside the journal, turning an on-disk campaign into a shared work
-  pool: any number of workers (``repro sweep worker`` processes, or
-  the children behind ``run(workers=N)``) atomically claim open units
-  under a heartbeat lease, so a killed or hung worker's units return
-  to the queue and each completion is journaled exactly once;
+* one **claim loop** for every campaign: units are claimed from a
+  claim queue (:mod:`repro.campaign.queue`) that owns the journal and
+  appends to it exactly once per completion.  On disk the table is
+  ``claims.sqlite`` beside the journal, a shared work pool: any number
+  of workers (``repro sweep worker`` processes, the children behind
+  ``run(workers=N)``, or network workers through
+  :mod:`repro.campaign.remote`) atomically claim open units under a
+  heartbeat lease, so a killed or hung worker's units return to the
+  queue.  In-memory campaigns and the tuner's :meth:`~CampaignRunner.
+  submit` drain the same loop over an in-memory table;
 * **chunked** execution bounding how much work an interruption can
   lose (eight units when serial, twice the worker count when pooled;
   every chunk's units share one trace per benchmark and variant
   through the runtime's one trace source, :mod:`repro.runtime.batch`);
 * per-unit **failure isolation** with capped exponential-backoff
-  retries — one diverging simulation fails its unit, not the campaign;
+  retries — a failed unit reopens after its backoff and the drain
+  waits for it; one diverging simulation fails its unit, not the
+  campaign;
 * a deterministic **summary** (``summary.json`` / ``report.txt``):
   a pure function of the results, so the artifacts are byte-identical
   regardless of worker count, interruption, or claim order.
@@ -38,7 +44,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.analysis.characterize import characterize_result, class_winners
 from repro.analysis.metrics import geomean_improvement
@@ -54,6 +62,7 @@ from repro.campaign.queue import (
     ClaimedUnit,
     ClaimQueue,
 )
+from repro.campaign.remote import ClaimBackend
 from repro.campaign.spec import BASELINE_LABEL, SweepSpec, SweepUnit
 from repro.config import DEFAULT_CONFIG, ArchConfig
 from repro.runtime import JobKey, ParallelRunner, RunnerStats, RuntimeOptions
@@ -139,11 +148,11 @@ class CampaignRunner:
     """Execute sweep units with manifest journaling and retries.
 
     ``root=None`` (with ``manifest=None``) runs fully in memory — no
-    campaign directory, an in-memory journal — which is exactly what
-    the tuner's candidate evaluations need.  ``engine`` optionally
-    injects an existing :class:`ParallelRunner` (shares its in-memory
-    result table); otherwise engines are created lazily per
-    ``(mesh, engine_profile)``.
+    campaign directory, an in-memory journal and claim table — which
+    is exactly what the tuner's candidate evaluations need.
+    ``engine`` optionally injects an existing :class:`ParallelRunner`
+    (shares its in-memory result table); otherwise engines are created
+    lazily per ``(mesh, engine_profile)``.
     """
 
     def __init__(
@@ -229,96 +238,81 @@ class CampaignRunner:
         )
 
     # ------------------------------------------------------------------
-    # execution
+    # execution: one claim loop for every campaign
     # ------------------------------------------------------------------
     def submit(
+        self, units: Sequence[SweepUnit]
+    ) -> Dict[str, SimulationResult]:
+        """Resolve every unit to a result in one new session (the
+        tuner's entry into the claim loop).
+
+        Units the journal already marks ``done`` resolve through the
+        (warm) cache without a fresh journal entry; a unit an earlier
+        ``submit`` failed runs again.  Returns ``unit_id ->
+        SimulationResult`` for every unit that succeeded (failed units
+        are journaled and skipped).
+        """
+        return self._resolve_all(units, self.manifest.start_session())
+
+    def _resolve_all(
         self,
         units: Sequence[SweepUnit],
+        session: int,
         *,
-        session: Optional[int] = None,
-        record: bool = True,
+        workers: int = 1,
     ) -> Dict[str, SimulationResult]:
-        """Resolve every unit to a result; journal as units finish.
-
-        Units the manifest already marks ``done`` are *not* counted as
-        new work — they resolve through the (warm) cache layers without
-        a fresh journal entry, which is what makes resume idempotent.
-        Returns ``unit_id -> SimulationResult`` for every unit that
-        succeeded (failed units are journaled and skipped).
-        """
-        done_ids = self.manifest.done_ids() if record else set()
-        if session is None and record:
-            session = self.manifest.start_session()
-
-        by_unit: Dict[str, SweepUnit] = {}
-        finished: List[SweepUnit] = []
-        pending: List[SweepUnit] = []
+        """Drain ``units``, then resolve every unit done by another
+        worker or an earlier session through the (warm) cache, so the
+        caller sees every done unit."""
+        results, _ = self._claim_units(units, session, workers=workers)
+        done = self.manifest.reload().done_ids()
         for unit in units:
-            if unit.unit_id in by_unit:
-                continue
-            by_unit[unit.unit_id] = unit
-            (finished if unit.unit_id in done_ids else pending).append(unit)
-
-        results: Dict[str, SimulationResult] = {}
-
-        # Already-done units: resolve through the cache (no new journal
-        # rows; a cold cache transparently recomputes, which only costs
-        # time — the journal stays truthful either way).
-        for unit in finished:
-            engine = self.engine_for(unit)
-            results[unit.unit_id] = engine.run(unit.job_key(self.base_cfg))
-
-        attempts: Dict[str, int] = {}
-        round_no = 0
-        while pending and round_no < self.max_attempts:
-            round_no += 1
-            if round_no > 1:
-                self._sleep(self._backoff(round_no - 1))
-            failed_this_round: List[SweepUnit] = []
-            chunk = self._effective_chunk()
-            for start in range(0, len(pending), chunk):
-                batch = pending[start:start + chunk]
-                self._run_batch(
-                    batch, results, failed_this_round, attempts,
-                    session, record,
+            if unit.unit_id in done and unit.unit_id not in results:
+                results[unit.unit_id] = self.engine_for(unit).run(
+                    unit.job_key(self.base_cfg)
                 )
-            pending = failed_this_round
         return results
 
-    def _run_batch(
+    def _claim_units(
         self,
-        batch: Sequence[SweepUnit],
-        results: Dict[str, SimulationResult],
-        failed: List[SweepUnit],
-        attempts: Dict[str, int],
-        session: Optional[int],
-        record: bool,
-    ) -> None:
-        """One chunk, grouped per engine; journal each unit's outcome."""
-        groups: Dict[tuple, List[SweepUnit]] = {}
-        for unit in batch:
-            groups.setdefault((unit.mesh, unit.engine_profile), []).append(unit)
-        for units in groups.values():
-            engine = self.engine_for(units[0])
-            keys = [u.job_key(self.base_cfg) for u in units]
-            outcomes = self._resolve_chunk(engine, keys)
-            for unit, (key, result, wall) in zip(units, outcomes):
-                attempts[unit.unit_id] = attempts.get(unit.unit_id, 0) + 1
-                if isinstance(result, Exception):  # journal + retry
-                    if record:
-                        self.manifest.record_failed(
-                            unit.unit_id,
-                            f"{type(result).__name__}: {result}",
-                            attempts[unit.unit_id], session or 0,
-                        )
-                    failed.append(unit)
-                    continue
-                results[unit.unit_id] = result
-                if record:
-                    self.manifest.record_done(
-                        unit.unit_id, key.cache_digest(), wall,
-                        attempts[unit.unit_id], session or 0,
-                    )
+        units: Sequence[SweepUnit],
+        session: int,
+        *,
+        workers: int = 1,
+        lease: float = DEFAULT_LEASE,
+        poll: float = DEFAULT_POLL,
+        worker_id: Optional[str] = None,
+    ) -> Tuple[Dict[str, SimulationResult], str]:
+        """Open the claim table, populate, reconcile, drain.
+
+        The table is the campaign's ``claims.sqlite``, or an in-memory
+        one when the campaign has no directory.  Returns the results
+        this worker produced and its worker id.
+        """
+        by_id = {u.unit_id: u for u in units}
+        results: Dict[str, SimulationResult] = {}
+        queue = ClaimQueue(
+            self.dir / CLAIMS_NAME if self.dir is not None else ":memory:",
+            manifest=self.manifest, worker_id=worker_id,
+        )
+        try:
+            queue.populate(
+                list(by_id),
+                spec_digest=(
+                    self.spec.spec_digest() if self.spec is not None
+                    else None
+                ),
+            )
+            queue.reconcile(reset_failed=True)
+            if workers > 1:
+                self._spawn_workers(workers, lease, poll)
+                queue.reconcile()
+            # Drain (sole worker when workers == 1; the safety net that
+            # reclaims a crashed child's leftovers otherwise).
+            self._drain(queue, by_id, results, session, lease, poll)
+        finally:
+            queue.close()
+        return results, queue.worker_id
 
     def _resolve_chunk(
         self,
@@ -355,12 +349,9 @@ class CampaignRunner:
             walls = dict(self.stats.job_times[start:])
             yield key, result, walls.get(key.describe(), 0.0)
 
-    # ------------------------------------------------------------------
-    # queue-based execution (every on-disk campaign)
-    # ------------------------------------------------------------------
     def _drain(
         self,
-        queue: ClaimQueue,
+        queue: ClaimBackend,
         by_id: Dict[str, SweepUnit],
         results: Dict[str, SimulationResult],
         session: int,
@@ -369,22 +360,29 @@ class CampaignRunner:
     ) -> None:
         """Claim-and-run until no unit is ``open`` or ``claimed``.
 
-        An empty claim with active units left means other workers hold
-        live leases — poll until they finish (or their leases lapse and
-        the units come back to us).
+        An empty claim with active units left means a failed unit is
+        waiting out its retry backoff, or other workers hold live
+        leases: sleep until the earliest retry comes due (at most
+        ``poll``) and claim again.
         """
         while True:
             batch = queue.claim(self._effective_chunk(), lease=lease)
-            if not batch:
-                if queue.counts().active == 0:
-                    return
-                self._sleep(poll)
+            if batch:
+                self._work_claimed(
+                    queue, batch, by_id, results, session, lease
+                )
                 continue
-            self._work_claimed(queue, batch, by_id, results, session, lease)
+            counts = queue.counts()
+            if counts.active == 0:
+                return
+            self._sleep(
+                poll if counts.retry_in is None
+                else min(poll, counts.retry_in)
+            )
 
     def _work_claimed(
         self,
-        queue: ClaimQueue,
+        queue: ClaimBackend,
         batch: Sequence[ClaimedUnit],
         by_id: Dict[str, SweepUnit],
         results: Dict[str, SimulationResult],
@@ -392,33 +390,25 @@ class CampaignRunner:
         lease: float,
     ) -> None:
         """Run one claimed batch; journal through the queue's
-        exactly-once ``complete``/``fail`` transactions.
-
-        Works against either claim backend: the local SQLite queue
-        journals through ``journal=`` callbacks inside its own
-        transaction, while a backend with ``journals_remotely`` ships
-        results plus structured journal fields and the *server*
-        appends (see :mod:`repro.campaign.remote`).
-        """
-        remote = getattr(queue, "journals_remotely", False)
+        exactly-once ``complete``/``fail`` transactions."""
         # Crash-window repair: a unit can be journaled ``done`` while
         # its claim-row commit was lost (the writer died between the
         # manifest append and the sqlite COMMIT).  The journal is the
-        # authority — repair the row and resolve through the warm cache
-        # instead of re-running and double-journaling.
-        done_now = (
-            queue.done_ids() if remote
-            else self.manifest.reload().done_ids()
-        )
+        # authority — repair the row and resolve the unit instead of
+        # re-running and double-journaling.
+        done_now = queue.done_ids()
         todo: List[tuple] = []
         for cu in batch:
             unit = by_id.get(cu.unit_id)
             if unit is None:
-                queue.fail(cu.unit_id, "unit not in spec", max_attempts=0)
+                queue.fail(
+                    cu.unit_id, "unit not in spec", max_attempts=0,
+                    attempt=cu.attempt, session=session,
+                )
                 continue
             if cu.unit_id in done_now:
                 queue.mark_done(cu.unit_id)
-                results[cu.unit_id] = self._resolve_done(queue, unit, remote)
+                results[cu.unit_id] = self._resolve_done(queue, unit)
                 continue
             todo.append((cu, unit))
 
@@ -438,98 +428,35 @@ class CampaignRunner:
             )
             for (cu, _), (key, result, wall) in zip(members, outcomes):
                 if isinstance(result, Exception):
-                    msg = f"{type(result).__name__}: {result}"
-                    if remote:
-                        queue.fail(
-                            cu.unit_id, msg,
-                            max_attempts=self.max_attempts,
-                            backoff=self._backoff(cu.attempt),
-                            attempt=cu.attempt, session=session,
-                        )
-                    else:
-                        queue.fail(
-                            cu.unit_id, msg,
-                            max_attempts=self.max_attempts,
-                            backoff=self._backoff(cu.attempt),
-                            journal=lambda: self.manifest.record_failed(
-                                cu.unit_id, msg, cu.attempt, session
-                            ),
-                        )
-                    continue
-                if remote:
-                    # Ship before complete: the server refuses a done
-                    # unit whose result bytes it does not hold.
-                    queue.ship_result(key.cache_digest(), result)
-                    committed = queue.complete(
-                        cu.unit_id, key.cache_digest(), wall=wall,
+                    queue.fail(
+                        cu.unit_id, f"{type(result).__name__}: {result}",
+                        max_attempts=self.max_attempts,
+                        backoff=self._backoff(cu.attempt),
                         attempt=cu.attempt, session=session,
                     )
-                else:
-                    committed = queue.complete(
-                        cu.unit_id, key.cache_digest(),
-                        journal=lambda: self.manifest.record_done(
-                            cu.unit_id, key.cache_digest(), wall,
-                            cu.attempt, session
-                        ),
-                    )
-                if committed:
+                elif queue.complete(
+                    cu.unit_id, key.cache_digest(), wall=wall,
+                    attempt=cu.attempt, session=session, result=result,
+                ):
                     results[cu.unit_id] = result
                 # else: our lease was reclaimed mid-run — the winner
-                # journals; our result stays in the shared cache.
+                # journals; our result stays in the cache layers.
 
-    def _resolve_done(self, queue, unit: SweepUnit,
-                      remote: bool) -> SimulationResult:
+    def _resolve_done(self, queue: ClaimBackend,
+                      unit: SweepUnit) -> SimulationResult:
         """Resolve an already-journaled unit to its result.
 
-        Locally the warm shared cache answers.  Remotely the bytes may
-        only exist on the server — fetch them (priming our cache when
-        we have one) rather than re-simulating.
+        A network queue may hold the only copy of the bytes — take
+        them from it (priming our cache) rather than re-simulating;
+        otherwise the warm shared cache answers.
         """
         key = unit.job_key(self.base_cfg)
         engine = self.engine_for(unit)
-        if remote:
-            fetched = queue.fetch_result(key.cache_digest())
-            if fetched is not None:
-                engine.cache.store(key.cache_digest(), fetched)
-                return fetched
+        fetched = queue.fetch_result(key.cache_digest())
+        if fetched is not None:
+            engine.cache.store(key.cache_digest(), fetched)
+            return fetched
         return engine.run(key)
-
-    def _run_shared(
-        self,
-        units: Sequence[SweepUnit],
-        *,
-        session: int,
-        workers: int,
-        lease: float = DEFAULT_LEASE,
-        poll: float = DEFAULT_POLL,
-    ) -> Dict[str, SimulationResult]:
-        """Drive an on-disk campaign through the claim queue."""
-        by_id = {u.unit_id: u for u in units}
-        results: Dict[str, SimulationResult] = {}
-        queue = ClaimQueue(self.dir / CLAIMS_NAME)
-        try:
-            queue.populate(
-                [u.unit_id for u in units],
-                spec_digest=self.spec.spec_digest(),
-            )
-            queue.reconcile(self.manifest, reset_failed=True)
-            if workers > 1:
-                self._spawn_workers(workers, lease, poll)
-                queue.reconcile(self.manifest)
-            # Drain (sole worker when workers == 1; the safety net that
-            # reclaims a crashed child's leftovers otherwise).
-            self._drain(queue, by_id, results, session, lease, poll)
-        finally:
-            queue.close()
-        # Units completed by other workers or earlier sessions: resolve
-        # through the (warm) cache so the summary covers every done unit.
-        done = self.manifest.reload().done_ids()
-        for unit in units:
-            if unit.unit_id in done and unit.unit_id not in results:
-                results[unit.unit_id] = self.engine_for(unit).run(
-                    unit.job_key(self.base_cfg)
-                )
-        return results
 
     def _spawn_workers(self, workers: int, lease: float,
                        poll: float) -> None:
@@ -571,8 +498,7 @@ class CampaignRunner:
         """
         if self.spec is None:
             raise CampaignError("attach_worker needs a SweepSpec")
-        cdir = self.dir
-        if cdir is None:
+        if self.dir is None:
             raise CampaignError(
                 "attach_worker needs an on-disk campaign (root=)"
             )
@@ -581,33 +507,22 @@ class CampaignRunner:
                 "worker attach needs the persistent result cache "
                 "(set cache_dir; --no-cache cannot share results)"
             )
-        lease = DEFAULT_LEASE if lease is None else float(lease)
-        poll = DEFAULT_POLL if poll is None else float(poll)
         units = self.spec.expand()
-        by_id = {u.unit_id: u for u in units}
         self.manifest.write_header(
             self.campaign_id or self.spec.campaign_id,
             self.spec.spec_digest(), len(units),
         )
         session = self.manifest.start_session(resume=True)
-        results: Dict[str, SimulationResult] = {}
-        queue = ClaimQueue(cdir / CLAIMS_NAME, worker_id=worker_id)
-        try:
-            queue.populate(
-                [u.unit_id for u in units],
-                spec_digest=self.spec.spec_digest(),
-            )
-            queue.reconcile(self.manifest, reset_failed=True)
-            self._drain(queue, by_id, results, session, lease, poll)
-        finally:
-            queue.close()
-        finalized = False
-        if finalize:
-            finalized = self._finalize(units, session)
+        results, worker_id = self._claim_units(
+            units, session,
+            lease=DEFAULT_LEASE if lease is None else float(lease),
+            poll=DEFAULT_POLL if poll is None else float(poll),
+            worker_id=worker_id,
+        )
         return WorkerResult(
             campaign_id=self.campaign_id,
-            worker_id=queue.worker_id, results=results,
-            stats=self.stats, finalized=finalized,
+            worker_id=worker_id, results=results, stats=self.stats,
+            finalized=finalize and self._finalize(units, session),
         )
 
     def attach_remote(
@@ -626,9 +541,9 @@ class CampaignRunner:
         constructed :class:`~repro.campaign.remote.RemoteClaimQueue`.
         Unlike :meth:`attach_worker`, no campaign directory and no
         shared cache are required: the spec arrives in the ``hello``
-        reply, results ship to the server as pickled blobs, and every
-        journal append happens server-side inside the claim
-        transaction.
+        reply (which also populates and reconciles the served queue),
+        and the queue's ``complete`` ships each result to the server,
+        which journals inside its claim transaction.
         """
         from repro.campaign.remote import RemoteClaimQueue
 
@@ -678,14 +593,27 @@ class CampaignRunner:
                 results[unit.unit_id] = self.engine_for(unit).run(
                     unit.job_key(self.base_cfg)
                 )
+        self._publish(units, results, state, session)
+        return True
+
+    def _publish(
+        self,
+        units: Sequence[SweepUnit],
+        results: Dict[str, SimulationResult],
+        state: ManifestState,
+        session: int,
+    ) -> Tuple[dict, str]:
+        """Summarize and render the campaign, write ``summary.json`` /
+        ``report.txt`` when it has a directory, and journal the
+        ``complete`` marker."""
         summary = self._summarize(units, results, state)
-        _write_atomic(
-            self.dir / SUMMARY_NAME,
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        )
-        _write_atomic(
-            self.dir / REPORT_NAME, self._render_report(summary) + "\n"
-        )
+        report = self._render_report(summary)
+        if self.dir is not None:
+            _write_atomic(
+                self.dir / SUMMARY_NAME,
+                json.dumps(summary, indent=2, sort_keys=True) + "\n",
+            )
+            _write_atomic(self.dir / REPORT_NAME, report + "\n")
         self.manifest.record_complete(session, {
             "units": len(units),
             "done": len(results),
@@ -694,7 +622,7 @@ class CampaignRunner:
             "disk_hits": self.stats.disk_hits,
             "mem_hits": self.stats.mem_hits,
         })
-        return True
+        return summary, report
 
     # ------------------------------------------------------------------
     # the campaign entrypoint
@@ -741,30 +669,9 @@ class CampaignRunner:
             self.spec.spec_digest(), len(units),
         )
         session = self.manifest.start_session(resume=resume)
-        if cdir is None:
-            results = self.submit(units, session=session)
-        else:
-            results = self._run_shared(
-                units, session=session, workers=workers
-            )
-
+        results = self._resolve_all(units, session, workers=workers)
         state = self.manifest.reload().state()
-        summary = self._summarize(units, results, state)
-        report = self._render_report(summary)
-        if cdir is not None:
-            _write_atomic(
-                cdir / SUMMARY_NAME,
-                json.dumps(summary, indent=2, sort_keys=True) + "\n",
-            )
-            _write_atomic(cdir / REPORT_NAME, report + "\n")
-        self.manifest.record_complete(session, {
-            "units": len(units),
-            "done": len(results),
-            "failed": len(units) - len(results),
-            "executed": self.stats.executed,
-            "disk_hits": self.stats.disk_hits,
-            "mem_hits": self.stats.mem_hits,
-        })
+        summary, report = self._publish(units, results, state, session)
         return CampaignResult(
             campaign_id=self.campaign_id or self.spec.campaign_id,
             root=cdir, spec=self.spec, results=results,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -136,7 +137,7 @@ class SweepUnit:
     engine_profile: str = OPTIMIZED
     tunables: TunablesDiff = None
 
-    @property
+    @cached_property
     def unit_id(self) -> str:
         from repro.runtime import digest_of
 

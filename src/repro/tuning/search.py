@@ -172,10 +172,11 @@ class Tuner:
         self._eval_cache: Dict[tuple, Evaluation] = {}
         self.evaluations = 0
         self._log: List[str] = []
-        # Candidate evaluations go through the campaign runner (the
-        # same submission path as `repro sweep`), with an in-memory
-        # manifest and no retries — a deterministic simulator failure
-        # should surface, not be retried.
+        # Candidate evaluations drain the campaign runner's claim loop
+        # (the one `repro sweep` runs) over an in-memory claim table
+        # and journal, with no retries — a deterministic simulator
+        # failure should surface, not be retried.  Each `submit`
+        # reopens what the last one failed.
         from repro.campaign import CampaignRunner
 
         self.campaign = CampaignRunner(

@@ -10,6 +10,7 @@ failure isolation + capped backoff, resume idempotence, and the run
 registry.
 """
 
+import functools
 import json
 
 import pytest
@@ -29,6 +30,8 @@ from repro.campaign import (
     lineup_units,
     normalize_tunables,
 )
+from repro.campaign import runner as runner_mod
+from repro.campaign.queue import ClaimQueue
 from repro.config import DEFAULT_CONFIG
 from repro.core.tunables import Tunables
 from repro.runtime import ParallelRunner, RunnerStats, RuntimeOptions
@@ -296,6 +299,24 @@ class _FlakyEngine:
         self._real.close()
 
 
+@pytest.fixture
+def fake_sleep(monkeypatch, fake_clock):
+    """A runner ``sleep=`` that advances a fake clock the runner's
+    in-memory claim table runs on (``.slept`` logs each wait), so a
+    retry backoff is waited out without sleeping."""
+    monkeypatch.setattr(
+        runner_mod, "ClaimQueue",
+        functools.partial(ClaimQueue, clock=fake_clock),
+    )
+
+    def sleep(seconds):
+        sleep.slept.append(seconds)
+        fake_clock.advance(seconds)
+
+    sleep.slept = []
+    return sleep
+
+
 class TestCampaignRunner:
     def test_in_memory_run_produces_summary_and_report(self):
         spec = SweepSpec(
@@ -308,21 +329,21 @@ class TestCampaignRunner:
         assert "oracle" in res.report and "fft" in res.report
         assert res.root is None
 
-    def test_retry_recovers_with_backoff(self):
+    def test_retry_recovers_with_backoff(self, fake_sleep):
         spec = SweepSpec(
             benchmarks=("fft", "swim"), schemes=("oracle",),
             scales=(SCALE,),
         )
-        sleeps = []
         runner = CampaignRunner(
             spec, engine=_FlakyEngine("swim", failures=2),
             max_attempts=3, backoff_base=0.25, backoff_cap=10.0,
-            sleep=sleeps.append,
+            sleep=fake_sleep,
         )
         res = runner.run()
         assert res.ok, "the unit must recover within max_attempts"
-        # Two failed rounds -> two capped-exponential backoff sleeps.
-        assert sleeps == [0.25, 0.5]
+        # Two failed attempts -> the drain waits out two capped-
+        # exponential backoffs, each shorter than the idle poll.
+        assert fake_sleep.slept == [0.25, 0.5]
         swim = [
             u for u in spec.expand()
             if u.bench == "swim" and u.label != BASELINE_LABEL
@@ -335,7 +356,7 @@ class TestCampaignRunner:
         assert runner._backoff(1) == 0.5
         assert runner._backoff(10) == 2.0
 
-    def test_exhausted_unit_fails_alone(self):
+    def test_exhausted_unit_fails_alone(self, fake_sleep):
         """One diverging unit fails itself, never its chunk-mates."""
         spec = SweepSpec(
             benchmarks=("fft", "swim"), schemes=("oracle",),
@@ -343,7 +364,7 @@ class TestCampaignRunner:
         )
         runner = CampaignRunner(
             spec, engine=_FlakyEngine("swim", failures=99),
-            max_attempts=2, sleep=lambda _s: None,
+            max_attempts=2, sleep=fake_sleep,
         )
         res = runner.run()
         assert not res.ok
@@ -392,6 +413,59 @@ class TestCampaignRunner:
         assert not mid.done
         assert first.done and first.wall > 0
         assert last.done and last.wall > 0
+
+    def test_second_submit_reruns_a_unit_the_first_failed(self):
+        """The tuner's contract (``max_attempts=1``): a unit that failed
+        in one ``submit`` is not remembered as failed — the next
+        ``submit`` of the same units runs it again."""
+        units = lineup_units(["fft", "swim"], ["oracle"], SCALE)
+        runner = CampaignRunner(
+            engine=_FlakyEngine("swim", failures=1), max_attempts=1,
+            sleep=lambda _s: None,
+        )
+        swim = [
+            u for u in units
+            if u.bench == "swim" and u.label != BASELINE_LABEL
+        ][0]
+        first = runner.submit(units)
+        assert swim.unit_id not in first
+        assert len(first) == len(units) - 1
+        second = runner.submit(units)
+        assert set(second) == {u.unit_id for u in units}
+        st = runner.manifest.state().unit(swim.unit_id)
+        assert st.done and st.attempts == 2
+        # Units the first submit finished resolve without a new line.
+        done_lines = [
+            e["unit"] for e in runner.manifest._lines
+            if e.get("event") == "unit" and e["status"] == "done"
+        ]
+        assert sorted(done_lines) == sorted(u.unit_id for u in units)
+
+    def test_submit_resolves_a_duplicated_unit_once(self):
+        units = lineup_units(["fft"], ["oracle"], SCALE)
+        runner = CampaignRunner(sleep=lambda _s: None)
+        results = runner.submit([units[0], *units, units[1]])
+        assert set(results) == {u.unit_id for u in units}
+        done = [
+            e["unit"] for e in runner.manifest._lines
+            if e.get("event") == "unit"
+        ]
+        assert sorted(done) == sorted(u.unit_id for u in units)
+        assert runner.stats.executed == len(units)
+
+    def test_in_memory_and_on_disk_runs_agree(self, tmp_path):
+        spec = SweepSpec(
+            name="agree", benchmarks=("fft", "swim"),
+            schemes=("oracle", "algorithm-1"), scales=(SCALE,),
+        )
+        mem = CampaignRunner(spec).run()
+        disk = CampaignRunner(
+            spec, root=tmp_path / "runs",
+            options=RuntimeOptions(jobs=1, cache_dir=str(tmp_path / "c")),
+        ).run()
+        assert mem.summary == disk.summary
+        assert mem.report == disk.report
+        assert (disk.root / "report.txt").read_text() == mem.report + "\n"
 
     def test_run_without_spec_raises(self):
         with pytest.raises(CampaignError, match="needs a SweepSpec"):

@@ -492,6 +492,19 @@ class TestWireProtocol:
         assert server.counts().done == 1
         server.close()
 
+    def test_counts_carry_the_retry_wait(self, tmp_path, fake_clock):
+        server = self._server(tmp_path, clock=fake_clock)
+        q = _client(server, worker_id="host-a")
+        q.hello()
+        (cu, *_) = q.claim(1, lease=60)
+        assert q.fail(cu.unit_id, "boom", max_attempts=3,
+                      backoff=30) == "retry"
+        counts = q.counts()
+        assert counts.open >= 1 and counts.retry_in == 0  # peers open
+        assert q.claim(10, lease=60)  # take every open peer
+        assert q.counts().retry_in == 30
+        server.close()
+
     def test_client_gives_up_after_retry_budget(self, tmp_path):
         server = self._server(tmp_path)
         q = _client(
@@ -507,15 +520,6 @@ class TestWireProtocol:
             server, plan=FaultPlan.scripted(["drop"] * 10), retries=1,
         )
         assert q.heartbeat(["u1"], lease=60) == 0  # no raise
-        server.close()
-
-    def test_remote_backend_refuses_journal_callbacks(self, tmp_path):
-        server = self._server(tmp_path)
-        q = _client(server)
-        with pytest.raises(QueueError, match="journals on the server"):
-            q.complete("u1", "d1", journal=lambda: None)
-        with pytest.raises(QueueError, match="journals on the server"):
-            q.fail("u1", "boom", max_attempts=3, journal=lambda: None)
         server.close()
 
 

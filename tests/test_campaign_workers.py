@@ -85,10 +85,25 @@ def _opts(tmp_path, **kw) -> RuntimeOptions:
 class TestClaimQueue:
     UNITS = ["u1", "u2", "u3"]
 
-    def _queue(self, tmp_path, clock, worker_id="w1") -> ClaimQueue:
+    def _queue(self, tmp_path, clock, worker_id="w1",
+               manifest=None) -> ClaimQueue:
         return ClaimQueue(
-            tmp_path / CLAIMS_NAME, worker_id=worker_id, clock=clock
+            tmp_path / CLAIMS_NAME, manifest=manifest,
+            worker_id=worker_id, clock=clock,
         )
+
+    @staticmethod
+    def _journal(tmp_path) -> Manifest:
+        return Manifest(tmp_path / "manifest.jsonl")
+
+    @staticmethod
+    def _unit_events(tmp_path) -> list:
+        """Every unit line on disk: (unit, status, error or digest)."""
+        return [
+            (e["unit"], e["status"], e.get("digest") or e.get("error"))
+            for e in Manifest(tmp_path / "manifest.jsonl")._lines
+            if e.get("event") == "unit"
+        ]
 
     def test_populate_is_idempotent_and_ordered(self, tmp_path):
         clock = FakeClock()
@@ -154,18 +169,21 @@ class TestClaimQueue:
 
     def test_complete_is_exactly_once(self, tmp_path):
         clock = FakeClock()
-        q1 = self._queue(tmp_path, clock, "w1")
-        q2 = self._queue(tmp_path, clock, "w2")
+        q1 = self._queue(tmp_path, clock, "w1", self._journal(tmp_path))
+        q2 = self._queue(tmp_path, clock, "w2", self._journal(tmp_path))
         q1.populate(["u1"])
         q1.claim(1, lease=10)
         clock.advance(11)
-        q2.claim(1, lease=60)
-        journal: list = []
-        assert q2.complete("u1", "d2", journal=lambda: journal.append("w2"))
+        (c2,) = q2.claim(1, lease=60)
+        assert q2.complete("u1", "d2", wall=0.5, attempt=c2.attempt,
+                           session=2)
         # w1 lost its lease mid-run: its complete must refuse AND must
-        # not call the journal callback — the exactly-once guarantee.
-        assert not q1.complete("u1", "d1", journal=lambda: journal.append("w1"))
-        assert journal == ["w2"]
+        # not append to the queue's journal — the exactly-once
+        # guarantee.
+        assert not q1.complete("u1", "d1", wall=0.5, attempt=1, session=1)
+        assert self._unit_events(tmp_path) == [("u1", "done", "d2")]
+        st = self._journal(tmp_path).state().unit("u1")
+        assert st.attempts == 1 and st.session == 2
         assert q1.counts().done == 1
         assert q1.rows()[0]["digest"] == "d2"
 
@@ -187,46 +205,70 @@ class TestClaimQueue:
         # Failing a unit we do not own reports the lost lease.
         assert q.fail("u1", "zombie", max_attempts=2) == "lost"
 
-    def test_fail_journal_commits_with_the_row(self, tmp_path):
+    def test_counts_report_time_to_the_earliest_retry(self, tmp_path):
         clock = FakeClock()
         q = self._queue(tmp_path, clock)
+        q.populate(["u1", "u2"])
+        assert q.counts().retry_in == 0  # open rows, claimable now
+        q.claim(2, lease=60)
+        assert q.counts().retry_in is None  # nothing open
+        q.fail("u1", "boom", max_attempts=3, backoff=30)
+        q.fail("u2", "boom", max_attempts=3, backoff=10)
+        assert q.counts().retry_in == 10
+        clock.advance(4)
+        assert q.counts().retry_in == 6
+        clock.advance(20)
+        assert q.counts().retry_in == 0
+
+    def test_fail_journal_commits_with_the_row(self, tmp_path):
+        clock = FakeClock()
+        q = self._queue(tmp_path, clock, "w1", self._journal(tmp_path))
+        other = self._queue(tmp_path, clock, "w2", self._journal(tmp_path))
         q.populate(["u1"])
         q.claim(1, lease=60)
-        journal: list = []
-        q.fail("u1", "boom", max_attempts=3,
-               journal=lambda: journal.append("failed"))
-        assert journal == ["failed"]
+        assert q.fail("u1", "boom", max_attempts=3) == "retry"
+        assert self._unit_events(tmp_path) == [("u1", "failed", "boom")]
+        # A fail from a worker that does not own the unit (its lease
+        # was lost) journals nothing.
+        clock.advance(1)
+        q.claim(1, lease=60)
+        assert other.fail("u1", "zombie", max_attempts=3) == "lost"
+        assert self._unit_events(tmp_path) == [("u1", "failed", "boom")]
 
     def test_reconcile_journal_ahead_of_table(self, tmp_path):
         """Crash window: journal says done, claim row stuck claimed."""
         clock = FakeClock()
-        q = self._queue(tmp_path, clock)
+        journal = Manifest(None)
+        q = self._queue(tmp_path, clock, manifest=journal)
         q.populate(self.UNITS)
         q.claim(1, lease=60)  # u1 in flight at the "crash"
-        out = q.reconcile({"u1"})
+        journal.record_done("u1", "d1", 0.1, 1, 1)
+        out = q.reconcile()
         assert out["repaired_done"] == 1 and out["reopened"] == 0
         assert q.rows()[0]["status"] == DONE
 
     def test_reconcile_table_ahead_of_journal(self, tmp_path):
         clock = FakeClock()
-        q = self._queue(tmp_path, clock)
+        q = self._queue(tmp_path, clock, manifest=self._journal(tmp_path))
         q.populate(self.UNITS)
         q.claim(1, lease=60)
         q.complete("u1", "d1")
-        out = q.reconcile(set())  # the journal never got the line
+        # The journal is truncated (restored from an older copy).
+        (tmp_path / "manifest.jsonl").write_text("")
+        out = q.reconcile()
         assert out["reopened"] == 1
         row = q.rows()[0]
         assert row["status"] == OPEN and row["attempts"] == 0
 
     def test_reconcile_reset_failed(self, tmp_path):
         clock = FakeClock()
-        q = self._queue(tmp_path, clock)
+        q = self._queue(tmp_path, clock, manifest=Manifest(None))
         q.populate(["u1"])
         q.claim(1, lease=60)
         q.fail("u1", "boom", max_attempts=1)
         assert q.counts().failed == 1
-        assert q.reconcile(set())["reset_failed"] == 0
-        out = q.reconcile(set(), reset_failed=True)
+        assert q.reconcile()["reset_failed"] == 0
+        out = q.reconcile(reset_failed=True)
         assert out["reset_failed"] == 1
         (c,) = q.claim(1, lease=60)
         assert c.attempt == 1  # fresh attempt budget
@@ -664,7 +706,10 @@ class TestWorkerProcesses:
         name = spec.campaign_id
         cdir = root / name
 
-        hung = ClaimQueue(cdir / CLAIMS_NAME, worker_id="hung-worker")
+        hung = ClaimQueue(
+            cdir / CLAIMS_NAME, worker_id="hung-worker",
+            manifest=Manifest(cdir / "manifest.jsonl"),
+        )
         hung.populate(spec.unit_ids(), spec_digest=spec.spec_digest())
         claimed = hung.claim(1, lease=1.0)
         assert len(claimed) == 1
@@ -678,11 +723,8 @@ class TestWorkerProcesses:
         assert stuck in out.results, \
             "the healthy worker must reclaim the stale lease"
 
-        journal: list = []
-        assert not hung.complete(
-            stuck, "stale", journal=lambda: journal.append("hung")
-        )
-        assert journal == [], \
+        assert not hung.complete(stuck, "stale", attempt=1, session=1)
+        assert "stale" not in (cdir / "manifest.jsonl").read_text(), \
             "a reclaimed worker must never journal its unit"
         hung.close()
 

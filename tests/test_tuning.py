@@ -14,6 +14,8 @@ Covers ISSUE 3's satellite test matrix for :mod:`repro.tuning`:
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +168,10 @@ class TestCalibrationArtifact:
         assert t is not None and not t.is_default
 
 
+#: The smoke tuner's outcome (``TestTunerSearch._run`` with seed 0).
+TUNE_GOLDEN = Path(__file__).parent / "golden" / "tune_smoke.json"
+
+
 class TestTunerSearch:
     def _run(self, cache_dir, seed=0):
         from repro.runtime import RuntimeOptions
@@ -182,8 +188,15 @@ class TestTunerSearch:
             tuner.close()
 
     def test_deterministic_winner(self, tmp_path):
-        """Same seed + grid => same winner (the ISSUE's determinism
-        pin).  The second run is served from the persistent cache."""
+        """Same seed + grid => same winner, and that winner is the one
+        pinned in ``tests/golden/tune_smoke.json``.  The second run is
+        served from the persistent cache.
+
+        Re-baseline (after an *intentional* change) with::
+
+            REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \\
+                tests/test_tuning.py -k test_deterministic_winner
+        """
         cache = str(tmp_path / "cache")
         r1 = self._run(cache)
         r2 = self._run(cache)
@@ -192,6 +205,36 @@ class TestTunerSearch:
         assert r1.best_geomeans == r2.best_geomeans
         assert [e.tunables.digest() for e in r1.finalists] == \
             [e.tunables.digest() for e in r2.finalists]
+
+        got = {
+            "scale": 0.1, "seed": 0,
+            "winner": r1.best.digest(),
+            "score": {
+                "violations": r1.best_score.violations,
+                "distance": r1.best_score.distance,
+                "violated": list(r1.best_score.violated),
+            },
+            "geomeans": dict(sorted(r1.best_geomeans.items())),
+            "finalists": [e.tunables.digest() for e in r1.finalists],
+        }
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            TUNE_GOLDEN.write_text(
+                json.dumps(got, indent=2, sort_keys=True) + "\n"
+            )
+            pytest.skip(f"regenerated {TUNE_GOLDEN}")
+        golden = json.loads(TUNE_GOLDEN.read_text())
+        assert got["winner"] == golden["winner"]
+        assert got["finalists"] == golden["finalists"]
+        assert got["score"]["violations"] == golden["score"]["violations"]
+        assert got["score"]["violated"] == golden["score"]["violated"]
+        assert got["score"]["distance"] == pytest.approx(
+            golden["score"]["distance"], abs=1e-9
+        )
+        assert sorted(got["geomeans"]) == sorted(golden["geomeans"])
+        for label, expected in golden["geomeans"].items():
+            assert got["geomeans"][label] == pytest.approx(
+                expected, abs=1e-9
+            ), label
 
     def test_rejects_unknown_grid_knob(self):
         with pytest.raises(ValueError, match="unknown tunables"):
