@@ -79,10 +79,12 @@ from repro.schemes import ComputeContext, NdcScheme, NoNdc
 class SimulationResult:
     """Output of one simulation run.
 
-    The result is a plain value object: picklable (the runtime's
-    persistent cache and process-pool fan-out depend on it) and
-    comparable field-by-field (the determinism test suite depends on
-    that).  ``pc_stats`` carries the per-PC L1/L2 hit-miss ground truth
+    The result is a plain value object: picklable (the process pool's
+    local IPC depends on it), encodable as checked JSON
+    (:mod:`repro.runtime.codec`: the persistent cache and the claim
+    server's result shipping depend on that), and comparable
+    field-by-field (the determinism test suite depends on that).
+    ``pc_stats`` carries the per-PC L1/L2 hit-miss ground truth
     when the run collected it (Table 2), so cached results can serve
     the CME-accuracy experiment without retaining the simulator.
     """

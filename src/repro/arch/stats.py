@@ -122,6 +122,37 @@ class SimStats:
             if r.location == loc
         ]
 
+    def check(self) -> None:
+        """Raise ``ValueError`` naming every conservation law the
+        counters break.
+
+        Every compute runs either near data or on the core; every
+        exercised opportunity is a performed offload; the run ends when
+        its slowest core does; and each conventional compute has at
+        most one recorded reason (abort or skip) for not offloading.
+        """
+        n = self.ndc
+        performed = n.total_performed
+        reasons = (n.aborted_timeout + n.aborted_table_full
+                   + n.skipped_local_hit + n.skipped_policy
+                   + n.skipped_no_station)
+        broken = [
+            law for law, holds in (
+                ("computes == performed + conventional",
+                 self.computes == performed + n.conventional),
+                ("opportunities_exercised == performed",
+                 self.opportunities_exercised == performed),
+                ("total_cycles == max(per_core_cycles)",
+                 self.total_cycles == max(self.per_core_cycles, default=0)),
+                ("conventional >= aborted + skipped",
+                 n.conventional >= reasons),
+            ) if not holds
+        ]
+        if broken:
+            raise ValueError(
+                "SimStats breaks conservation: " + "; ".join(broken)
+            )
+
 
 def improvement_percent(base_cycles: int, opt_cycles: int) -> float:
     """Execution-time improvement in percent (negative = slowdown)."""

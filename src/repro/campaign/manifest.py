@@ -6,21 +6,23 @@ happened: a ``header`` line (spec digest + unit count), one ``session``
 line per runner process that attached, and one ``unit`` line per
 terminal unit event (``done`` / ``failed``).  Because lines are only
 ever *appended* (never rewritten), the journal survives ``SIGKILL`` at
-any instant; replay simply ignores a torn trailing line.
+any instant; replay simply ignores a torn trailing line, and the next
+append terminates it.  Only appends write: constructing or reloading a
+:class:`Manifest` never touches the file.
 
 The :class:`Manifest` API is the same whether it is backed by a file
 (resumable campaigns) or purely in-memory (in-memory campaigns and the
 tuner's throwaway candidate evaluations): the campaign's claim queue
 appends ``record_done`` / ``record_failed`` events inside its claim
-transactions, and :meth:`state` folds the journal into per-unit
-status.
+transactions.  Each event is folded into per-unit status once, as it
+is appended or read back (:meth:`state`, :meth:`done_ids`).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -57,7 +59,6 @@ class ManifestState:
     sessions: int = 0
     header: Optional[dict] = None
     completes: List[dict] = field(default_factory=list)
-    torn_lines: int = 0
 
     def unit(self, unit_id: str) -> UnitState:
         return self.units.get(unit_id, UnitState(unit_id))
@@ -81,46 +82,23 @@ class Manifest:
 
     def __init__(self, path: Union[None, str, Path] = None):
         self.path = Path(path) if path is not None else None
+        #: the journal's events, and their fold (kept current by
+        #: ``_append``, rebuilt by ``reload``)
         self._lines: List[dict] = []
+        self._state = ManifestState()
+        self.reload()
+
+    def reload(self) -> "Manifest":
+        """Re-read the journal from disk (other writers may have
+        appended since) and refold it.  Read-only — safe while other
+        processes append: a torn tail is ignored, as in replay.
+        In-memory journals are a no-op."""
         if self.path is not None and self.path.exists():
             self._lines = list(self._replay())
-            self._repair_tail()
-
-    def reload(self, *, repair: bool = False) -> "Manifest":
-        """Re-read the journal from disk (other writers may have
-        appended since).  In-memory journals are a no-op.
-
-        ``repair=False`` is read-only — safe while other processes are
-        appending (a torn tail is simply ignored, as in replay).
-        ``repair=True`` additionally newline-terminates a torn tail and
-        must only run while holding the campaign's claim-queue write
-        lock (:meth:`~repro.campaign.queue.ClaimQueue.reconcile` does),
-        so it can never split a live writer's in-flight line.
-        """
-        if self.path is None:
-            return self
-        if self.path.exists():
-            self._lines = list(self._replay())
-            if repair:
-                self._repair_tail()
+            self._state = ManifestState()
+            for event in self._lines:
+                _fold(self._state, event)
         return self
-
-    def _repair_tail(self) -> None:
-        """Terminate a torn trailing line (a writer killed mid-write).
-
-        Without this, the next append would concatenate onto the torn
-        fragment and corrupt itself too; with it, the fragment stays an
-        ignored torn line and new events land on fresh lines.
-        """
-        assert self.path is not None
-        with self.path.open("rb+") as fh:
-            fh.seek(0, 2)
-            size = fh.tell()
-            if size == 0:
-                return
-            fh.seek(size - 1)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")
 
     # ------------------------------------------------------------------
     # journal I/O
@@ -143,12 +121,24 @@ class Manifest:
                     yield event
 
     def _append(self, event: dict) -> None:
+        """Fold ``event`` and, for an on-disk journal, append its line.
+
+        A torn trailing line (a writer killed mid-write) is terminated
+        first, in the same write: otherwise the new line would
+        concatenate onto the fragment and be lost with it.
+        """
         self._lines.append(event)
+        _fold(self._state, event)
         if self.path is None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        line = json.dumps(event, sort_keys=True) + "\n"
+        with self.path.open("ab+") as fh:
+            if fh.seek(0, 2) > 0:
+                fh.seek(-1, 2)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode("utf-8"))
             fh.flush()
 
     # ------------------------------------------------------------------
@@ -157,7 +147,7 @@ class Manifest:
     def write_header(self, campaign_id: str, spec_digest: str,
                      total_units: int) -> None:
         """Once per campaign (skipped when resuming an existing one)."""
-        if any(e.get("event") == "header" for e in self._lines):
+        if self._state.header is not None:
             return
         self._append({
             "event": "header",
@@ -215,35 +205,45 @@ class Manifest:
     # ------------------------------------------------------------------
     @property
     def sessions(self) -> int:
-        return sum(1 for e in self._lines if e.get("event") == "session")
+        return self._state.sessions
 
     def state(self) -> ManifestState:
-        st = ManifestState()
-        for event in self._lines:
-            kind = event.get("event")
-            if kind == "header":
-                st.header = event
-            elif kind == "session":
-                st.sessions += 1
-            elif kind == "complete":
-                st.completes.append(event)
-            elif kind == "unit":
-                uid = event.get("unit")
-                if not uid:
-                    continue
-                unit = st.units.setdefault(uid, UnitState(uid))
-                unit.attempts += 1
-                unit.session = event.get("session")
-                if event.get("status") == DONE:
-                    unit.status = DONE
-                    unit.digest = event.get("digest")
-                    unit.wall = event.get("wall")
-                    unit.error = None
-                else:
-                    unit.status = FAILED
-                    unit.error = event.get("error")
-        return st
+        """A snapshot of the folded journal (later appends leave it
+        as it is)."""
+        st = self._state
+        return ManifestState(
+            units=dict(st.units), sessions=st.sessions, header=st.header,
+            completes=list(st.completes),
+        )
 
     def done_ids(self) -> set:
         """Unit ids whose latest event is ``done`` (the resume skip set)."""
-        return set(self.state().done_ids)
+        return {u for u, s in self._state.units.items() if s.status == DONE}
+
+
+def _fold(st: ManifestState, event: dict) -> None:
+    """Fold one journal event into ``st``.  Unit states are replaced,
+    never mutated, so a snapshot's shallow copy stays as it was."""
+    kind = event.get("event")
+    if kind == "header":
+        st.header = event
+    elif kind == "session":
+        st.sessions += 1
+    elif kind == "complete":
+        st.completes.append(event)
+    elif kind == "unit":
+        uid = event.get("unit")
+        if not uid:
+            return
+        prev = st.units.get(uid) or UnitState(uid)
+        common = dict(attempts=prev.attempts + 1,
+                      session=event.get("session"))
+        if event.get("status") == DONE:
+            st.units[uid] = replace(
+                prev, status=DONE, digest=event.get("digest"),
+                wall=event.get("wall"), error=None, **common,
+            )
+        else:
+            st.units[uid] = replace(
+                prev, status=FAILED, error=event.get("error"), **common,
+            )

@@ -269,7 +269,7 @@ class ClaimQueue:
         """
         journal = self._journal()
         with self.transaction() as db:
-            done = journal.reload(repair=True).done_ids()
+            done = journal.reload().done_ids()
             repaired = reopened = reset = 0
             rows = db.execute("SELECT unit_id, status FROM units").fetchall()
             for uid, status in rows:

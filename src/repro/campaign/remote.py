@@ -25,11 +25,11 @@ exactly-once journaling contract:
   double-journal.
 
 Result shipping rides the same channel.  The client's ``complete``
-first uploads the unit's pickled
-:class:`~repro.arch.simulator.SimulationResult` (content-addressed by
-JobKey digest, base64 over the wire), so a worker needs no shared
-cache; the server materializes it into the campaign cache with the
-same first-writer-wins rule as :meth:`ResultCache.store`.  **Admissibility
+first uploads the unit's :class:`~repro.arch.simulator.SimulationResult`
+(content-addressed by JobKey digest) as its checked JSON form
+(:mod:`repro.runtime.codec`), so a worker needs no shared cache; the
+server materializes it into the campaign cache with the same
+first-writer-wins rule as :meth:`ResultCache.store`.  **Admissibility
 rule:** the server refuses ``complete`` for a digest it does not hold,
 so a journaled ``done`` always has its result bytes on the server and
 ``summary.json`` / ``report.txt`` stay byte-identical to a
@@ -40,17 +40,20 @@ every client under a synthetic ``remote:<worker_id>`` host with pid 0,
 so the same-host dead-pid shortcut can never fire between network
 workers — a lost worker's units come back only through lease expiry.
 
-Trust model: the server unpickles uploaded result blobs, exactly like
-the shared cache directory it replaces — run it only for workers you
-trust (a lab cluster, CI), not on the open internet.
+Trust model: nothing a peer sends is executed.  Requests and results
+are plain JSON; an uploaded result is decoded strictly (a missing,
+extra or wrongly typed field, an unknown enum name or counters that
+break :meth:`~repro.arch.stats.SimStats.check` refuse the upload), and
+a request body above :data:`MAX_BODY_BYTES` is refused before it is
+read.  The server has no authentication: any peer that reaches it can
+claim units and post results for them, so run it on networks whose
+workers you trust to report honest results (a lab cluster, CI).
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
-import pickle
 import socket
 import threading
 import time
@@ -79,14 +82,16 @@ from repro.campaign.transport import (
 )
 from repro.runtime.backoff import backoff_delay
 from repro.runtime.cache import ResultCache
+from repro.runtime.codec import CodecError, result_from_json, result_to_json
 from repro.runtime.parallel import RuntimeOptions
 
 #: Replies remembered per idempotency token before the oldest ages out.
 TOKEN_CACHE_SIZE = 4096
 
-#: Refuse uploaded result blobs above this (a pickled SimulationResult
-#: is a few KB; anything near this bound is a client bug).
-MAX_BLOB_BYTES = 64 * 1024 * 1024
+#: Refuse request bodies above this without reading them (a result's
+#: JSON form is a few KB, tens of KB with every collection knob on;
+#: anything near this bound is a client bug or a hostile peer).
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class RemoteUnavailable(QueueError):
@@ -364,37 +369,21 @@ class ClaimServer:
 
     def _rpc_put_result(self, worker: str, params: dict) -> dict:
         digest = params["digest"]
-        blob = base64.b64decode(params["blob"])
-        if len(blob) > MAX_BLOB_BYTES:
-            raise QueueError(
-                f"result blob for {digest[:12]}... is {len(blob)} bytes "
-                f"(cap {MAX_BLOB_BYTES})"
-            )
         try:
-            result = pickle.loads(blob)
-        except Exception as exc:
+            result = result_from_json(params.get("result"))
+        except CodecError as exc:
             raise QueueError(
-                f"undecodable result blob for {digest[:12]}...: "
-                f"{type(exc).__name__}: {exc}"
+                f"undecodable result for {digest[:12]}...: {exc}"
             ) from exc
-        if not isinstance(result, SimulationResult):
-            raise QueueError(
-                f"result blob for {digest[:12]}... is a "
-                f"{type(result).__name__}, not a SimulationResult"
-            )
         stored = self.cache.store(digest, result)
         return {"stored": stored}
 
     def _rpc_has_result(self, worker: str, params: dict) -> bool:
         return self.cache.load(params["digest"]) is not None
 
-    def _rpc_get_result(self, worker: str, params: dict) -> Optional[str]:
+    def _rpc_get_result(self, worker: str, params: dict) -> Optional[dict]:
         result = self.cache.load(params["digest"])
-        if result is None:
-            return None
-        return base64.b64encode(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
+        return None if result is None else result_to_json(result)
 
     # -- lifecycle -----------------------------------------------------
     def counts(self) -> QueueCounts:
@@ -475,16 +464,32 @@ class _RpcHandler(BaseHTTPRequestHandler):
         if self.path != RPC_PATH:
             self.send_error(404, "unknown endpoint")
             return
+        declared = self.headers.get("Content-Length", "")
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except Exception:
-            payload = None  # dispatch turns this into a protocol error
-        reply = self.server.claim_server.dispatch(payload)
+            length = int(declared)
+        except ValueError:
+            length = -1
+        refused = not 0 <= length <= MAX_BODY_BYTES
+        if refused:
+            # Refused unread: the body left on the socket makes the
+            # connection unusable, so the reply closes it.
+            reply = {
+                "ok": False, "kind": "protocol",
+                "error": f"request refused: Content-Length {declared!r} "
+                         f"is not within 0..{MAX_BODY_BYTES}",
+            }
+        else:
+            try:
+                payload = json.loads(self.rfile.read(length))
+            except Exception:
+                payload = None  # dispatch turns this into a protocol error
+            reply = self.server.claim_server.dispatch(payload)
         body = json.dumps(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if refused:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -690,12 +695,9 @@ class RemoteClaimQueue:
 
     # -- result shipping -----------------------------------------------
     def ship_result(self, digest: str, result: SimulationResult) -> bool:
-        """Upload one result blob (idempotent, first-writer-wins)."""
-        blob = base64.b64encode(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
+        """Upload one result (idempotent, first-writer-wins)."""
         reply = self._call(
-            "put_result", {"digest": digest, "blob": blob}
+            "put_result", {"digest": digest, "result": result_to_json(result)}
         )
         return bool(reply["stored"])
 
@@ -703,17 +705,15 @@ class RemoteClaimQueue:
         return bool(self._call("has_result", {"digest": digest}))
 
     def fetch_result(self, digest: str) -> Optional[SimulationResult]:
-        blob = self._call("get_result", {"digest": digest})
-        if blob is None:
+        obj = self._call("get_result", {"digest": digest})
+        if obj is None:
             return None
         try:
-            result = pickle.loads(base64.b64decode(blob))
-        except Exception as exc:
+            return result_from_json(obj)
+        except CodecError as exc:
             raise RemoteProtocolError(
-                f"undecodable result blob for {digest[:12]}...: "
-                f"{type(exc).__name__}: {exc}"
+                f"undecodable result for {digest[:12]}...: {exc}"
             ) from exc
-        return result
 
     def close(self) -> None:
         self.transport.close()

@@ -40,7 +40,7 @@ import urllib.parse
 from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 #: Wire-protocol version; ``hello`` rejects a mismatched client.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: The RPC endpoint every request POSTs to.
 RPC_PATH = "/rpc"

@@ -7,7 +7,10 @@ Public surface:
   process-pool layers;
 * :class:`~repro.runtime.cache.ResultCache` /
   :func:`~repro.runtime.cache.default_cache_dir` — the content-addressed
-  pickle store (corruption-tolerant, atomic writes);
+  JSON store (corruption-tolerant, atomic writes);
+* :func:`~repro.runtime.codec.result_to_json` /
+  :func:`~repro.runtime.codec.result_from_json` — the one checked JSON
+  form of a result, shared by the cache and the claim server;
 * :class:`~repro.runtime.parallel.ParallelRunner` /
   :class:`~repro.runtime.parallel.RuntimeOptions` /
   :class:`~repro.runtime.parallel.RunnerStats` — the engine itself.

@@ -2,19 +2,22 @@
 
 Layout
 ------
-``<root>/<digest[:2]>/<digest>.pkl`` where ``digest`` is the job's
+``<root>/<digest[:2]>/<digest>.json`` where ``digest`` is the job's
 :meth:`~repro.runtime.keys.JobKey.cache_digest` — a SHA-256 over the
 package version, the cache schema version, the full machine
 description, the workload scale, and the complete job key.  Because the
 digest covers *everything* that determines a result, invalidation is
 automatic: any config change, version bump, or new pass option simply
-addresses a different entry.
+addresses a different entry.  Each entry is the result's checked JSON
+form (:mod:`repro.runtime.codec`) and carries its own config.
 
 Robustness rules (enforced by tests):
 
-* loads are corruption-tolerant — a truncated, garbage, or wrong-type
-  entry is treated as a miss (and unlinked best-effort), never an error;
-* stores are atomic — pickle to a temp file in the same directory, then
+* loads are corruption-tolerant — a truncated, garbage, or malformed
+  entry, or one whose counters break :meth:`SimStats.check`, is treated
+  as a miss (and unlinked best-effort), never an error; a load only
+  parses JSON, so a planted file cannot run code;
+* stores are atomic — write to a temp file in the same directory, then
   ``os.replace`` — so a crashed writer can at worst leave a temp file,
   not a torn entry;
 * every filesystem error degrades to "no cache", never to a crash.
@@ -22,13 +25,14 @@ Robustness rules (enforced by tests):
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import Optional
 
 from repro.arch.simulator import SimulationResult
+from repro.runtime.codec import result_from_json, result_to_json
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -58,7 +62,7 @@ class NullCache:
 
 
 class ResultCache(NullCache):
-    """Content-addressed pickle store for :class:`SimulationResult`."""
+    """Content-addressed JSON store for :class:`SimulationResult`."""
 
     persistent = True
 
@@ -71,7 +75,7 @@ class ResultCache(NullCache):
             self._usable = False
 
     def path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.pkl"
+        return self.root / digest[:2] / f"{digest}.json"
 
     # ------------------------------------------------------------------
     def load(self, digest: str) -> Optional[SimulationResult]:
@@ -81,23 +85,16 @@ class ResultCache(NullCache):
         path = self.path(digest)
         try:
             with open(path, "rb") as fh:
-                obj = pickle.load(fh)
+                return result_from_json(json.load(fh))
         except FileNotFoundError:
             return None
         except Exception:
-            # Corrupt/truncated/incompatible entry: drop it and recompute.
+            # Corrupt/truncated/malformed entry: drop it and recompute.
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        if not isinstance(obj, SimulationResult):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return obj
 
     def store(self, digest: str, result: SimulationResult) -> bool:
         """Atomically persist ``result``; returns True on a new write.
@@ -124,8 +121,10 @@ class ResultCache(NullCache):
                 dir=str(path.parent), prefix=f".{digest[:8]}.", suffix=".tmp"
             )
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(result_to_json(result),
+                                        allow_nan=False,
+                                        separators=(",", ":")))
                 os.replace(tmp, path)
             except BaseException:
                 try:

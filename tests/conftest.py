@@ -55,3 +55,28 @@ def _fresh_trace_cache():
     monkeypatch pass behaviour."""
     yield
     clear_cache()
+
+
+class _CreatesFile:
+    """Unpickling this object calls ``open(path, "w")``: the file
+    appearing is proof that some reader ran a peer's pickle."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+@pytest.fixture
+def code_running_pickle(tmp_path):
+    """``(payload, marker)``: pickle bytes whose loading creates
+    ``marker`` (checked here on a control path, so the payload is known
+    to run code when unpickled)."""
+    import pickle
+
+    control = tmp_path / "control-marker"
+    pickle.loads(pickle.dumps(_CreatesFile(control))).close()
+    assert control.exists(), "the payload must run code when unpickled"
+    marker = tmp_path / "pickle-ran-here"
+    return pickle.dumps(_CreatesFile(marker)), marker

@@ -36,9 +36,10 @@ Layers, bottom up:
 """
 
 import base64
+import copy
+import http.client
 import json
 import os
-import pickle
 import random
 import signal
 import subprocess
@@ -65,11 +66,13 @@ from repro.campaign import (
     SweepSpec,
     TransportError,
 )
-from repro.campaign.transport import FAULT_KINDS, WIRE_VERSION
+from repro.campaign.remote import MAX_BODY_BYTES
+from repro.campaign.transport import FAULT_KINDS, RPC_PATH, WIRE_VERSION
 from repro.config import DEFAULT_CONFIG
 from repro.runtime import RuntimeOptions
 from repro.runtime.backoff import backoff_delay
 from repro.runtime.cache import ResultCache
+from repro.runtime.codec import result_to_json
 
 SCALE = 0.08
 
@@ -414,18 +417,103 @@ class TestWireProtocol:
         assert q.counts().claimed == 1
         server.close()
 
-    def test_put_result_rejects_garbage_and_wrong_types(self, tmp_path):
+    def test_put_result_rejects_garbage_and_wrong_types(
+            self, tmp_path, warm_cache):
+        """Uploads are decoded strictly: anything but the checked JSON
+        form of a result is refused, and nothing reaches the cache."""
         server = self._server(tmp_path)
         q = _client(server)
-        garbage = base64.b64encode(b"not a pickle").decode("ascii")
-        with pytest.raises(QueueError, match="undecodable"):
-            q._call("put_result", {"digest": "d1", "blob": garbage})
-        not_a_result = base64.b64encode(
-            pickle.dumps({"cycles": 5})
-        ).decode("ascii")
-        with pytest.raises(QueueError, match="not a SimulationResult"):
-            q._call("put_result", {"digest": "d1", "blob": not_a_result})
+        (_, digest, result) = self._warm_results(warm_cache)[0]
+        good = result_to_json(result)
+
+        def edited(edit):
+            obj = copy.deepcopy(good)
+            edit(obj)
+            return obj
+
+        def break_conservation(obj):
+            obj["stats"]["computes"] += 1
+
+        def unknown_location(obj):
+            performed = obj["stats"]["ndc"]["performed"]
+            performed["ATTIC"] = performed.pop("CACHE")
+
+        bad = {
+            "malformed JSON text": "{\"scheme\": ",
+            "null": None,
+            "missing field": edited(lambda o: o.pop("stats")),
+            "extra field": edited(lambda o: o.update(blob="x")),
+            "missing stats field": edited(
+                lambda o: o["stats"].pop("total_cycles")),
+            "float counter": edited(
+                lambda o: o["stats"].update(instructions=1.5)),
+            "unknown enum name": edited(unknown_location),
+            "unknown config type": edited(
+                lambda o: o["config"].__setitem__(1, "Pickled")),
+            "broken conservation law": edited(break_conservation),
+        }
+        for why, value in bad.items():
+            with pytest.raises(QueueError, match="undecodable"):
+                q._call("put_result", {"digest": digest, "result": value})
+            assert not q.has_result(digest), why
+        # Malformed JSON on the wire is a protocol error, not a crash.
+        handle = server.serve_http("127.0.0.1", 0)
+        try:
+            conn = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=10)
+            conn.request("POST", RPC_PATH, b'{"method": "put_result",')
+            reply = json.loads(conn.getresponse().read())
+            conn.close()
+            assert reply["ok"] is False and reply["kind"] == "protocol"
+        finally:
+            handle.close()
+        # The untouched value still ships.
+        assert q.ship_result(digest, result) is True
         server.close()
+
+    def test_code_running_pickle_is_refused(
+            self, tmp_path, code_running_pickle):
+        """A pickle whose loading would create a file, posted as the
+        retired ``blob`` parameter and as the ``result`` value: both
+        are refused as undecodable and the file never appears."""
+        payload, marker = code_running_pickle
+        encoded = base64.b64encode(payload).decode("ascii")
+        server = self._server(tmp_path)
+        q = _client(server)
+        for params in ({"digest": "d1", "blob": encoded},
+                       {"digest": "d1", "result": encoded}):
+            with pytest.raises(QueueError, match="undecodable"):
+                q._call("put_result", params)
+        assert not marker.exists()
+        assert not q.has_result("d1")
+        server.close()
+
+    def test_oversized_request_refused_unread(self, tmp_path):
+        """A declared body above the cap, a malformed length and a
+        missing one are refused without reading the body; the server
+        keeps serving."""
+        server = self._server(tmp_path)
+        handle = server.serve_http("127.0.0.1", 0)
+        try:
+            for length in (str(MAX_BODY_BYTES + 1), str(10 ** 15),
+                           "-5", "many", None):
+                conn = http.client.HTTPConnection(
+                    handle.host, handle.port, timeout=10)
+                conn.putrequest("POST", RPC_PATH)
+                if length is not None:
+                    conn.putheader("Content-Length", length)
+                conn.endheaders()
+                resp = conn.getresponse()
+                reply = json.loads(resp.read())
+                conn.close()
+                assert reply["ok"] is False and reply["kind"] == "protocol"
+                assert "refused" in reply["error"], length
+                assert resp.getheader("Connection") == "close"
+            hello = RemoteClaimQueue(handle.address, retries=0).hello()
+            assert hello["campaign"] == server.campaign_id
+        finally:
+            handle.close()
+            server.close()
 
     def test_result_shipping_round_trip_first_writer_wins(
             self, tmp_path, warm_cache):

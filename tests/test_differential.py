@@ -101,6 +101,14 @@ def _reference_lineup(benchmark: str):
     return _REFERENCE_LINEUPS[benchmark]
 
 
+def _assert_same(got, ref, what: str) -> None:
+    """Cycle-exact equality, on results whose counters both keep the
+    conservation laws (:meth:`SimStats.check`)."""
+    got.stats.check()
+    ref.stats.check()
+    assert got == ref, what
+
+
 # ======================================================================
 # cycle-exact result equality
 # ======================================================================
@@ -115,9 +123,8 @@ class TestLineupEquivalence:
         ref = _reference_lineup("fft")
         assert got.keys() == ref.keys()
         for label in got:
-            assert got[label] == ref[label], (
-                f"{profile} divergence on fft/{label}"
-            )
+            _assert_same(got[label], ref[label],
+                         f"{profile} divergence on fft/{label}")
 
     @pytest.mark.parametrize("bench_name", ["spmv.csr", "mix.fft.hash"])
     def test_families_lineup_identical(self, bench_name):
@@ -127,9 +134,8 @@ class TestLineupEquivalence:
         fast = _run_lineup(bench_name, FAST)
         ref = _reference_lineup(bench_name)
         for label in fast:
-            assert fast[label] == ref[label], (
-                f"fast-engine divergence on {bench_name}/{label}"
-            )
+            _assert_same(fast[label], ref[label],
+                         f"fast-engine divergence on {bench_name}/{label}")
 
     @pytest.mark.slow
     @pytest.mark.parametrize("bench_name", ["swim", "md"])
@@ -138,9 +144,8 @@ class TestLineupEquivalence:
         got = _run_lineup(bench_name, profile)
         ref = _reference_lineup(bench_name)
         for label in got:
-            assert got[label] == ref[label], (
-                f"{profile} divergence on {bench_name}/{label}"
-            )
+            _assert_same(got[label], ref[label],
+                         f"{profile} divergence on {bench_name}/{label}")
 
     @pytest.mark.parametrize("bench_name", ["fft", "spmv.csr"])
     def test_every_registered_scheme_identical(self, bench_name):
@@ -174,7 +179,7 @@ class TestLineupEquivalence:
                 execute_job(DEFAULT_CONFIG, key, engine_profile=profile)
                 for profile in (REFERENCE, FAST)
             )
-            assert fast == ref, f"fast-engine divergence on {label}"
+            _assert_same(fast, ref, f"fast-engine divergence on {label}")
 
     def test_profile_with_instrumentation_identical(self):
         """Collection knobs (pc stats, windows) divert nothing either."""
@@ -190,7 +195,7 @@ class TestLineupEquivalence:
             ).run(trace)
             for profile in (REFERENCE, FAST)
         )
-        assert fast == ref, "fast-engine instrumentation drift"
+        _assert_same(fast, ref, "fast-engine instrumentation drift")
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="engine profile"):

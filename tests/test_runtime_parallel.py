@@ -13,8 +13,8 @@ Pins the engine's core contract:
 """
 
 import argparse
+import json
 import multiprocessing
-import pickle
 
 import pytest
 
@@ -28,6 +28,7 @@ from repro.runtime import (
     ResultCache,
     RuntimeOptions,
     config_digest,
+    execute_job,
 )
 
 BENCHES = ["fft", "swim", "md"]
@@ -205,9 +206,41 @@ class TestCacheCorrectness:
         digest = "ab" * 32
         path = cache.path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"not": "a result"}))
+        path.write_text(json.dumps({"not": "a result"}))
         assert cache.load(digest) is None
         assert not path.exists(), "bogus entry must be unlinked"
+
+    def test_entry_breaking_a_conservation_law_is_a_miss(self, tmp_path):
+        key = job_matrix()[0]
+        digest = key.cache_digest()
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.store(digest, execute_job(DEFAULT_CONFIG, key))
+        path = cache.path(digest)
+        entry = json.loads(path.read_text())
+        entry["stats"]["opportunities_exercised"] += 1
+        path.write_text(json.dumps(entry))
+        assert cache.load(digest) is None
+        assert not path.exists(), "the law-breaking entry is unlinked"
+
+    def test_planted_pickle_is_never_loaded(self, tmp_path,
+                                            code_running_pickle):
+        """A pickle that would run code, planted at the retired
+        ``.pkl`` path and at the live ``.json`` path: ``load`` misses
+        and never unpickles it."""
+        payload, marker = code_running_pickle
+        cache = ResultCache(tmp_path / "cache")
+        digest = "cd" * 32
+        path = cache.path(digest)
+        assert path.suffix == ".json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        old = path.with_suffix(".pkl")
+        old.write_bytes(payload)
+        assert cache.load(digest) is None
+        path.write_bytes(payload)
+        assert cache.load(digest) is None
+        assert not marker.exists()
+        assert not path.exists(), "the undecodable entry is unlinked"
+        assert old.read_bytes() == payload, "a .pkl is never opened"
 
     def test_no_cache_bypasses_reads_and_writes(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -1,12 +1,16 @@
-"""Pickle round-trip guarantees for the runtime subsystem.
+"""Round-trip guarantees for the runtime's two result encodings.
 
-The persistent cache stores pickled :class:`SimulationResult`s and the
-process pool ships them between processes, so results (and everything
-they embed: SimStats, arrival records, pc-level stats, the config) must
-survive a pickle round trip *losslessly* — asserted here via full
-dataclass equality on a real, fully-populated simulation result.
+The process pool ships :class:`SimulationResult`s between processes by
+pickle; the persistent cache and the claim server's result shipping
+use the checked JSON codec (:mod:`repro.runtime.codec`).  Results (and
+everything they embed: SimStats, arrival records, pc-level stats, the
+config) must survive both *losslessly* — asserted here via full
+dataclass equality, ``repr`` equality and config-digest equality on one
+real, fully-populated simulation result, once per encoding.
 """
 
+import dataclasses
+import json
 import pickle
 
 import pytest
@@ -16,11 +20,17 @@ from repro.arch.simulator import SimulationResult
 from repro.arch.stats import ArrivalRecord, SimStats
 from repro.config import DEFAULT_CONFIG, NdcLocation
 from repro.runtime import JobKey, config_digest, execute_job
+from repro.runtime.codec import result_from_json, result_to_json
 from repro.schemes import scheme_from_spec
 
 
 def roundtrip(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def json_roundtrip(result: SimulationResult) -> SimulationResult:
+    """Through the codec and JSON text, as the cache and the wire do."""
+    return result_from_json(json.loads(json.dumps(result_to_json(result))))
 
 
 @pytest.fixture(scope="module")
@@ -41,41 +51,58 @@ def result() -> SimulationResult:
 
 
 class TestResultRoundTrip:
+    """Each test round-trips whole results through ``encode``: the
+    pool's pickle here, the JSON codec in the subclass below."""
+
+    encode = staticmethod(roundtrip)
+
     def test_result_roundtrips_losslessly(self, result):
-        rt = roundtrip(result)
+        assert result.stats.arrival_records and result.stats.window_series
+        rt = self.encode(result)
         assert rt == result
+        assert repr(rt) == repr(result)
         assert rt.cycles == result.cycles
         assert rt.scheme == result.scheme
         assert rt.config == result.config
+        assert config_digest(rt.config) == config_digest(result.config)
 
     def test_stats_roundtrip(self, result):
         stats: SimStats = result.stats
-        rt = roundtrip(stats)
+        rt = self.encode(result).stats
         assert rt == stats
         # spot-check the interesting payloads survived structurally
         assert rt.arrival_records == stats.arrival_records
         assert rt.window_series == stats.window_series
         assert rt.ndc.performed == stats.ndc.performed
         assert rt.per_core_cycles == stats.per_core_cycles
+        assert rt.resource_util == stats.resource_util
 
     def test_pc_stats_roundtrip(self, result):
         assert result.pc_stats, "collect_pc_stats run must populate pc_stats"
-        rt = roundtrip(result)
+        rt = self.encode(result)
         assert rt.pc_stats == result.pc_stats
 
-    def test_arrival_record_roundtrip(self):
+    def test_arrival_record_roundtrip(self, result):
         rec = ArrivalRecord(
             pc=7, location=NdcLocation.MEMCTRL, window=42, breakeven=17,
             met=True,
         )
-        assert roundtrip(rec) == rec
+        one = dataclasses.replace(
+            result,
+            stats=dataclasses.replace(result.stats, arrival_records=[rec]),
+        )
+        assert self.encode(one).stats.arrival_records == [rec]
 
     def test_baseline_result_has_no_pc_stats(self):
         key = JobKey(bench="fft", scale=0.08,
                      config_digest=config_digest(DEFAULT_CONFIG))
         res = execute_job(DEFAULT_CONFIG, key)
         assert res.pc_stats is None
-        assert roundtrip(res) == res
+        assert self.encode(res) == res
+
+
+class TestResultJsonRoundTrip(TestResultRoundTrip):
+    encode = staticmethod(json_roundtrip)
 
 
 class TestConfigAndKey:
